@@ -21,6 +21,7 @@ import io
 import json
 import math
 import sys
+from fractions import Fraction
 from typing import Any
 
 from .expsum import (
@@ -40,6 +41,7 @@ from .residue import (
     WallPolicy,
     central_density,
     density,
+    interior_volume,
     reduced_volume,
     scan,
 )
@@ -146,12 +148,19 @@ def _load_selected_space(args: argparse.Namespace):
     return load_space(text)
 
 
-def _parse_grid(spec: str) -> list[float]:
+def _parse_grid(spec: str, walls: set[Fraction]) -> list[float]:
+    """Grid points start + i*step up to end.
+
+    A point whose exact decimal value start + i*step is a wall is replaced by
+    that wall's float, so the wall policy applies to it; rounding in the float
+    sum would otherwise step past the wall and return a one-sided value.
+    """
     parts = spec.split(":")
     if len(parts) != 3:
         raise SpaceFormatError(f"grid must be START:END:STEP, got {spec!r}")
     try:
         start, end, step = (float(p) for p in parts)
+        exact_start, exact_step = Fraction(parts[0]), Fraction(parts[2])
     except ValueError:
         raise SpaceFormatError(f"grid must be numeric START:END:STEP, got {spec!r}") from None
     if step <= 0:
@@ -159,7 +168,10 @@ def _parse_grid(spec: str) -> list[float]:
     if not start < end:
         raise SpaceFormatError("grid start must be below grid end")
     count = int(math.floor((end - start) / step + 1e-9))
-    points = [start + i * step for i in range(count + 1)]
+    points = []
+    for i in range(count + 1):
+        exact = exact_start + i * exact_step
+        points.append(float(exact) if exact in walls else start + i * step)
     return [t for t in points if t <= end + 1e-12]
 
 
@@ -195,7 +207,10 @@ def _cmd_eval(args: argparse.Namespace) -> int:
         if args.mode == "both":
             header += ["fourier_density", "abs_diff"]
 
-    grid = [args.t] if args.t is not None else _parse_grid(args.grid)
+    if args.t is not None:
+        grid = [args.t]
+    else:
+        grid = _parse_grid(args.grid, {c.mu for c in space.components})
     for t in grid:
         require_interior_alcove(t)
 
@@ -207,12 +222,12 @@ def _cmd_eval(args: argparse.Namespace) -> int:
                 {
                     "t": t,
                     "density": value,
-                    "volume": _interior_volume(space, t, value),
+                    "volume": interior_volume(space, t, value),
                 }
             )
     elif args.t is not None:
         result = density(space, args.t, options)
-        volume = _interior_volume(space, result.t, result.total)
+        volume = interior_volume(space, result.t, result.total)
         rows.append(_eval_row(args, space, method, result, volume, labels))
     else:
         for point in scan(space, grid, options):
@@ -244,14 +259,6 @@ def _cmd_eval(args: argparse.Namespace) -> int:
     }
     _emit(buffer.getvalue(), payload, args)
     return EXIT_OK
-
-
-def _interior_volume(space, t: float, density_value: float) -> float:
-    return (
-        space.stabilizer_order
-        * (2.0 * math.sin(math.pi * t) / math.sqrt(2.0))
-        * density_value
-    )
 
 
 def _eval_row(args, space, method, result, volume, labels) -> dict[str, Any]:

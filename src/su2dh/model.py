@@ -26,6 +26,7 @@ tolerance.
 
 from __future__ import annotations
 
+import cmath
 import json
 import math
 from dataclasses import dataclass, field
@@ -102,7 +103,13 @@ class FixedComponent:
                     f"component {self.label!r}: Euler integral must vanish to order >= 2 "
                     f"(got power {k!r})"
                 )
-            cleaned[k] = complex(c)
+            value = complex(c)
+            if not cmath.isfinite(value):
+                raise SpaceFormatError(
+                    f"component {self.label!r}: Euler integral coefficient of power {k} "
+                    f"must be finite (got {value!r})"
+                )
+            cleaned[k] = value
         object.__setattr__(self, "euler_integral", dict(sorted(cleaned.items())))
 
     @property
@@ -209,7 +216,10 @@ class DensityResult:
 def _check_number(value: Any, path: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise SpaceFormatError(f"malformed space file: {path}: expected a number")
-    return float(value)
+    number = float(value)
+    if not math.isfinite(number):
+        raise SpaceFormatError(f"malformed space file: {path}: must be finite, got {number!r}")
+    return number
 
 
 def _fraction_to_text(value: Fraction) -> str:

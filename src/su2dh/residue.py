@@ -17,17 +17,24 @@ derivation from the localization Fourier series, including why the
 1/sin(pi*t) prefactor is forced by the closed-form checks, is written out in
 docs/derivation.md.
 
-At the central elements the t -> 0+ and t -> 1- limits of the two branches
-give, per component,
+Chamber polynomials.  The evaluation point enters only through
+sin(pi*x*z), with x = t below the wall and x = 1 - t above it, whose Taylor
+terms are odd.  So each branch is P(x)/sin(pi*t), with P an odd polynomial
+of degree at most max_power - 1 read off one Laurent series per branch,
+A(z) = z * e^{pi*i*z*mu} (or e^{pi*i*z*(mu+1)}) / (e^{2*pi*i*z} - 1) * sum_k c_k z^{-k}:
 
-    at +e:  -(4*pi^2*i/sqrt(2)) * Res_0[ z^2 e^{pi*i*z*mu} / (e^{2*pi*i*z}-1)
-                                          * sum_k c_k z^{-k} ]
-    at -e:  +(4*pi^2*i/sqrt(2)) * Res_0[ z^2 e^{pi*i*z*(mu+1)} / (e^{2*pi*i*z}-1)
-                                          * sum_k c_k z^{-k} ]
+    [x^(2j+1)] P = -+(4*pi^2*i/sqrt(2)) * half * A[-2-2j] * (-1)^j * pi^(2j+1) / (2j+1)!
 
-again halved for central components.  These are meaningful only when the
-central element is a regular value of the moment map, which the caller must
-assert; the code cannot verify it.
+with the minus sign below the wall and half = 1/2 for central components.
+Each component is compiled into its two polynomials once (cached by
+content).  A wall's one-sided limit is then the choice of branch, and the
+central values at +e and -e, the t -> 0+ and t -> 1- limits of the two
+branches, are the linear coefficients of P_below and P_above divided by pi.
+Central values are meaningful only when the central element is a regular
+value of the moment map, which the caller must assert; the code cannot
+verify it.  The above branch stays in x = 1 - t: re-expanding it about
+t = 0 would multiply its coefficients by binomials up to about 6e16
+(product:30, degree 59).  docs/derivation.md has the details.
 
 Volumes of reduced spaces follow from the density and the generic stabilizer
 order k:
@@ -35,8 +42,8 @@ order k:
     Vol = k * (2*sin(pi*t)/sqrt(2)) * density       for interior t,
     Vol = k * (2*pi/sqrt(2))        * density       at the central elements.
 
-All formulas are evaluated in complex arithmetic; the i-factors cancel only
-after residue extraction, so results are checked to be real (within a
+Polynomial coefficients are complex; the i-factors cancel only in the
+combination, so every evaluated value is checked to be real (within a
 relative tolerance) and the imaginary residual is reported as a diagnostic.
 """
 
@@ -45,6 +52,8 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from fractions import Fraction
+from functools import lru_cache
 from typing import Iterable, Sequence
 
 from .model import (
@@ -54,11 +63,10 @@ from .model import (
     QHSpace,
     require_interior_alcove,
 )
-from .series import bose_kernel, exp_linear, from_coefficients, mul, residue, shift, sin_linear
+from .series import TruncSeries, bose_kernel, exp_linear, from_coefficients, mul, shift
 
 _SQRT2 = math.sqrt(2.0)
 _PREFACTOR = 4.0 * math.pi**2 * 1j / _SQRT2
-_GUARD_TERMS = 4  # window headroom above the deepest pole
 
 
 class WallError(ArithmeticError):
@@ -93,93 +101,104 @@ class EvalOptions:
 DEFAULT_OPTIONS = EvalOptions()
 
 
-def _coefficient_series(component: FixedComponent):
-    return from_coefficients({-k: c for k, c in component.euler_integral.items()})
+@dataclass(frozen=True)
+class _BranchPolynomials:
+    """One component's compiled branches: density(t)*sin(pi*t) = P(x).
 
-
-def _branch_value(component: FixedComponent, t: float, branch: str) -> complex:
-    """One branch of the residue formula, regardless of where t sits.
-
-    ``branch`` is 'below' for the t < mu expression and 'above' for t > mu.
-    Exposing the branch explicitly lets wall policies and limit tests pick a
-    side; `component_density` selects it from the sign of t - mu.
+    ``below[j]`` is the coefficient of t^(2j+1), valid for t < mu;
+    ``above[j]`` is the coefficient of s^(2j+1) with s = 1 - t, valid for
+    t > mu.
     """
-    mu = float(component.mu)
-    high = component.max_power + _GUARD_TERMS
-    if branch == "below":
-        phase = exp_linear(1j * math.pi * mu, high)
-        oscillation = sin_linear(math.pi * t, high)
-        sign = -1.0
-    elif branch == "above":
-        phase = exp_linear(1j * math.pi * (mu + 1.0), high)
-        oscillation = sin_linear(math.pi * (1.0 - t), high)
-        sign = 1.0
-    else:  # pragma: no cover - internal misuse
-        raise ValueError(f"unknown branch {branch!r}")
-    kernel = mul(bose_kernel(high), _coefficient_series(component))
-    product = shift(mul(mul(phase, oscillation), kernel), 1)
-    half = 0.5 if component.central else 1.0
-    return sign * _PREFACTOR * half * residue(product) / math.sin(math.pi * t)
+
+    mu: float
+    below: tuple[complex, ...]
+    above: tuple[complex, ...]
+
+    def at(self, t: float, branch: str) -> complex:
+        """P(x) on ``branch`` ('below' or 'above'), by Horner's rule in x^2."""
+        coeffs, x = (self.below, t) if branch == "below" else (self.above, 1.0 - t)
+        x2 = x * x
+        acc = 0j
+        for c in reversed(coeffs):
+            acc = acc * x2 + c
+        return acc * x
 
 
-def _central_value(component: FixedComponent, which: CentralElement) -> complex:
-    mu = float(component.mu)
-    high = component.max_power + _GUARD_TERMS
-    if which is CentralElement.IDENTITY:
-        phase = exp_linear(1j * math.pi * mu, high)
-        sign = -1.0
-    else:
-        phase = exp_linear(1j * math.pi * (mu + 1.0), high)
-        sign = 1.0
-    kernel = mul(bose_kernel(high), _coefficient_series(component))
-    product = shift(mul(phase, kernel), 2)
-    half = 0.5 if component.central else 1.0
-    return sign * _PREFACTOR * half * residue(product)
+def _odd_coefficients(
+    kernel: TruncSeries, weight: float, scale: complex, max_power: int
+) -> tuple[complex, ...]:
+    """Coefficients of x^(2j+1) in scale * Res_0[z e^{pi*i*weight*z} kernel sin(pi*x*z)]."""
+    a = shift(mul(exp_linear(1j * math.pi * weight, max_power - 2), kernel), 1)
+    coeffs = []
+    taylor = math.pi  # (-1)^j pi^(2j+1) / (2j+1)!
+    for j in range(max_power // 2):
+        coeffs.append(scale * a.coefficient(-2 - 2 * j) * taylor)
+        taylor *= -(math.pi**2) / ((2 * j + 2) * (2 * j + 3))
+    return tuple(coeffs)
 
 
-def _take_real(value: complex, options: EvalOptions, context: str) -> tuple[float, float]:
+# Bounded, because callers that load a fresh space per request would
+# otherwise grow the cache for the life of the process.
+@lru_cache(maxsize=256)
+def _compile(
+    mu: Fraction, coefficients: tuple[tuple[int, complex], ...]
+) -> _BranchPolynomials:
+    """Both branch polynomials of a component, keyed by its exact content."""
+    max_power = max(k for k, _ in coefficients)
+    kernel = mul(
+        bose_kernel(max_power - 2), from_coefficients({-k: c for k, c in coefficients})
+    )
+    half = 0.5 if mu in (0, 1) else 1.0
+    return _BranchPolynomials(
+        mu=float(mu),
+        below=_odd_coefficients(kernel, float(mu), -_PREFACTOR * half, max_power),
+        above=_odd_coefficients(kernel, float(mu) + 1.0, _PREFACTOR * half, max_power),
+    )
+
+
+def _branch_polynomials(component: FixedComponent) -> _BranchPolynomials:
+    return _compile(component.mu, tuple(component.euler_integral.items()))
+
+
+def _compile_space(space: QHSpace) -> list[tuple[str, _BranchPolynomials]]:
+    return [(comp.label, _branch_polynomials(comp)) for comp in space.components]
+
+
+def _take_real(
+    value: complex, options: EvalOptions, label: str, at: float | CentralElement
+) -> tuple[float, float]:
     residual = abs(value.imag)
     if residual > options.imag_tolerance * (1.0 + abs(value.real)):
+        where = at.value if isinstance(at, CentralElement) else f"t={at}"
         raise NonRealDensityError(
-            f"non-real density (check input data): {context} produced imaginary "
-            f"residual {residual:.3e}"
+            f"non-real density (check input data): component {label!r} at {where} "
+            f"produced imaginary residual {residual:.3e}"
         )
     return value.real, residual
 
 
-def _select_branch(component: FixedComponent, t: float, options: EvalOptions) -> str:
-    mu = float(component.mu)
+def _select_branch(label: str, mu: float, t: float, options: EvalOptions) -> str:
     if 0.0 < mu < 1.0 and t == mu:
         if options.wall_policy is WallPolicy.ERROR:
             raise WallError(
                 f"evaluation on a wall: t = mu = {t} for component "
-                f"{component.label!r} (set a one-sided wall policy to take a limit)"
+                f"{label!r} (set a one-sided wall policy to take a limit)"
             )
         return "below" if options.wall_policy is WallPolicy.LEFT_LIMIT else "above"
     return "below" if t < mu else "above"
 
 
-def component_density(
-    component: FixedComponent, t: float, options: EvalOptions = DEFAULT_OPTIONS
-) -> float:
-    """Contribution of one component to the density at exp(t*rho), 0 < t < 1."""
+def _evaluate(
+    compiled: list[tuple[str, _BranchPolynomials]], t: float, options: EvalOptions
+) -> DensityResult:
     t = require_interior_alcove(t)
-    branch = _select_branch(component, t, options)
-    value = _branch_value(component, t, branch)
-    real, _ = _take_real(value, options, f"component {component.label!r} at t={t}")
-    return real
-
-
-def density(space: QHSpace, t: float, options: EvalOptions = DEFAULT_OPTIONS) -> DensityResult:
-    """Density at exp(t*rho): sum of the per-component contributions."""
-    t = require_interior_alcove(t)
+    sin_pi_t = math.sin(math.pi * t)
     per_component: dict[str, float] = {}
     max_residual = 0.0
-    for comp in space.components:
-        branch = _select_branch(comp, t, options)
-        value = _branch_value(comp, t, branch)
-        real, residual = _take_real(value, options, f"component {comp.label!r} at t={t}")
-        per_component[comp.label] = real
+    for label, poly in compiled:
+        branch = _select_branch(label, poly.mu, t, options)
+        real, residual = _take_real(poly.at(t, branch) / sin_pi_t, options, label, t)
+        per_component[label] = real
         max_residual = max(max_residual, residual)
     return DensityResult(
         t=t,
@@ -187,6 +206,19 @@ def density(space: QHSpace, t: float, options: EvalOptions = DEFAULT_OPTIONS) ->
         per_component=per_component,
         max_imag_residual=max_residual,
     )
+
+
+def component_density(
+    component: FixedComponent, t: float, options: EvalOptions = DEFAULT_OPTIONS
+) -> float:
+    """Contribution of one component to the density at exp(t*rho), 0 < t < 1."""
+    compiled = [(component.label, _branch_polynomials(component))]
+    return _evaluate(compiled, t, options).per_component[component.label]
+
+
+def density(space: QHSpace, t: float, options: EvalOptions = DEFAULT_OPTIONS) -> DensityResult:
+    """Density at exp(t*rho): sum of the per-component contributions."""
+    return _evaluate(_compile_space(space), t, options)
 
 
 def component_central_density(
@@ -199,10 +231,9 @@ def component_central_density(
     Valid only when the central element is a regular value of the moment
     map; this hypothesis cannot be checked from localization data.
     """
-    value = _central_value(component, which)
-    real, _ = _take_real(
-        value, options, f"component {component.label!r} at {which.value}"
-    )
+    poly = _branch_polynomials(component)
+    linear = poly.below[0] if which is CentralElement.IDENTITY else poly.above[0]
+    real, _ = _take_real(linear / math.pi, options, component.label, which)
     return real
 
 
@@ -215,17 +246,25 @@ def central_density(
     )
 
 
+def interior_volume(space: QHSpace, t: float, density_value: float) -> float:
+    """Reduced volume k * (2*sin(pi*t)/sqrt(2)) * density at an interior t."""
+    return space.stabilizer_order * (2.0 * math.sin(math.pi * t) / _SQRT2) * density_value
+
+
 def reduced_volume(
     space: QHSpace,
     at: float | CentralElement,
     options: EvalOptions = DEFAULT_OPTIONS,
 ) -> float:
     """Symplectic volume of the reduced space at exp(t*rho) or at +-e."""
-    k = space.stabilizer_order
     if isinstance(at, CentralElement):
-        return k * (2.0 * math.pi / _SQRT2) * central_density(space, at, options)
-    t = require_interior_alcove(at)
-    return k * (2.0 * math.sin(math.pi * t) / _SQRT2) * density(space, t, options).total
+        return (
+            space.stabilizer_order
+            * (2.0 * math.pi / _SQRT2)
+            * central_density(space, at, options)
+        )
+    result = density(space, at, options)
+    return interior_volume(space, result.t, result.total)
 
 
 @dataclass(frozen=True)
@@ -250,15 +289,12 @@ def scan(
     recorded in the returned rows instead of aborting the scan; grid order is
     preserved.
     """
+    compiled = _compile_space(space)
     points: list[ScanPoint] = []
     for t in t_grid:
         try:
-            result = density(space, t, options)
-            volume = (
-                space.stabilizer_order
-                * (2.0 * math.sin(math.pi * result.t) / _SQRT2)
-                * result.total
-            )
+            result = _evaluate(compiled, t, options)
+            volume = interior_volume(space, result.t, result.total)
             points.append(ScanPoint(t=result.t, result=result, volume=volume))
         except (WallError, NonRealDensityError, AlcoveRangeError) as exc:
             if fail_fast:

@@ -116,6 +116,45 @@ class TestEval:
             "eval", "--space", str(path), "--t", "0.5", "--wall-policy", "left"
         )
 
+    def test_non_finite_coefficient_is_usage_error(self, tmp_path):
+        from su2dh.model import save_space
+        from su2dh.spaces import make_s4
+
+        doc = json.loads(save_space(make_s4()))
+        doc["components"][0]["coefficients"][0]["re"] = float("nan")
+        path = tmp_path / "nan.json"
+        path.write_text(json.dumps(doc))
+        proc = run_cli("eval", "--space", str(path), "--t", "0.5", expect=2)
+        assert proc.stdout == ""
+        assert "components[0].coefficients[0].re" in proc.stderr
+
+    def test_grid_point_on_exact_wall(self, tmp_path):
+        # 0.1 + 2*0.1 rounds to 0.30000000000000004, past the wall at 3/10;
+        # the grid must still land on the wall and apply the wall policy
+        from fractions import Fraction
+
+        from su2dh.model import FixedComponent, QHSpace, save_space
+        from su2dh.residue import EvalOptions, WallPolicy, density
+
+        space = QHSpace(
+            "walled", (FixedComponent("w", Fraction(3, 10), {2: 0.5, 4: -0.25}),), 1
+        )
+        path = tmp_path / "walled.json"
+        path.write_text(save_space(space))
+        args = ("eval", "--space", str(path), "--grid", "0.1:0.9:0.1")
+
+        proc = run_cli(*args)
+        _, rows = parse_csv(proc.stdout)
+        assert len(rows) == 9
+        assert rows[2][0] == "0.3" and all(cell == "" for cell in rows[2][1:])
+        assert "skipping t = 0.3" in proc.stderr and "wall" in proc.stderr
+
+        _, rows = parse_csv(run_cli(*args, "--wall-policy", "left").stdout)
+        left = density(space, 0.3, EvalOptions(wall_policy=WallPolicy.LEFT_LIMIT)).total
+        right = density(space, 0.3, EvalOptions(wall_policy=WallPolicy.RIGHT_LIMIT)).total
+        assert abs(left - right) > 1.0
+        assert float(rows[2][1]) == pytest.approx(left, rel=1e-14)
+
     def test_grid_outside_alcove_is_usage_error(self):
         run_cli("eval", "--builtin", "s4", "--grid", "0:1:0.5", expect=2)
 

@@ -55,6 +55,13 @@ class TestFixedComponent:
         with pytest.raises(SpaceFormatError, match="nonempty"):
             FixedComponent("a", Fraction(0), {})
 
+    @pytest.mark.parametrize(
+        "bad", [float("nan"), float("inf"), complex(0.0, float("-inf"))]
+    )
+    def test_non_finite_coefficients_rejected(self, bad):
+        with pytest.raises(SpaceFormatError, match="power 4 must be finite"):
+            FixedComponent("a", Fraction(1, 2), {2: 1.0, 4: bad})
+
 
 class TestConjugation:
     def test_sign_rules(self):
@@ -199,6 +206,17 @@ class TestSpaceFiles:
         del doc["components"][0]["mu"]
         with pytest.raises(SpaceFormatError, match=r"components\[0\]"):
             load_space(doc)
+
+    @pytest.mark.parametrize("field", ["re", "im"])
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_coefficient_rejected(self, field, bad):
+        doc = json.loads(save_space(make_s4()))
+        doc["components"][1]["coefficients"][0][field] = bad
+        text = json.dumps(doc)  # json writes NaN / Infinity, and json.loads accepts them
+        with pytest.raises(
+            SpaceFormatError, match=rf"components\[1\]\.coefficients\[0\]\.{field}: must be finite"
+        ):
+            load_space(text)
 
     def test_invalid_json_rejected(self):
         with pytest.raises(SpaceFormatError, match="not valid JSON"):

@@ -13,7 +13,8 @@ from su2dh.residue import (
     NonRealDensityError,
     WallError,
     WallPolicy,
-    _branch_value,
+    _branch_polynomials,
+    _compile,
     central_density,
     component_central_density,
     component_density,
@@ -21,7 +22,8 @@ from su2dh.residue import (
     reduced_volume,
     scan,
 )
-from su2dh.spaces import make_product_space, make_s4
+from su2dh.series import bose_kernel, exp_linear, from_coefficients, mul, residue, shift, sin_linear
+from su2dh.spaces import make_product_space, make_s4, product_closed_form
 from conftest import interior_t_avoiding_walls, make_random_space
 
 SQRT2 = math.sqrt(2.0)
@@ -186,19 +188,100 @@ class TestCentral:
         # per component, the below-branch continues to t=0 and the
         # above-branch to t=1; Richardson over h in {1e-2, 1e-3, 1e-4}
         offsets = [1e-2, 1e-3, 1e-4]
+
+        def branch_density(comp, t, branch):
+            return _branch_polynomials(comp).at(t, branch) / math.sin(math.pi * t)
+
         for _ in range(8):
             space = make_random_space(rng, n_components=1)
             comp = space.components[0]
             below = extrapolate_to_zero(
-                [(h, _branch_value(comp, h, "below")) for h in offsets]
+                [(h, branch_density(comp, h, "below")) for h in offsets]
             )[0]
             expected_e = component_central_density(comp, CentralElement.IDENTITY)
             assert abs(below.real - expected_e) <= 1e-6 * (1.0 + abs(expected_e))
             above = extrapolate_to_zero(
-                [(h, _branch_value(comp, 1.0 - h, "above")) for h in offsets]
+                [(h, branch_density(comp, 1.0 - h, "above")) for h in offsets]
             )[0]
             expected_me = component_central_density(comp, CentralElement.MINUS_IDENTITY)
             assert abs(above.real - expected_me) <= 1e-6 * (1.0 + abs(expected_me))
+
+
+def series_branch_value(component, t, branch):
+    """One branch of the residue formula with every series rebuilt at t.
+
+    The per-point evaluation the chamber polynomials replace, kept as the
+    reference they are checked against.
+    """
+    mu = float(component.mu)
+    high = component.max_power + 4
+    if branch == "below":
+        phase = exp_linear(1j * math.pi * mu, high)
+        oscillation = sin_linear(math.pi * t, high)
+        sign = -1.0
+    else:
+        phase = exp_linear(1j * math.pi * (mu + 1.0), high)
+        oscillation = sin_linear(math.pi * (1.0 - t), high)
+        sign = 1.0
+    coefficients = from_coefficients({-k: c for k, c in component.euler_integral.items()})
+    product = shift(mul(mul(phase, oscillation), mul(bose_kernel(high), coefficients)), 1)
+    half = 0.5 if component.central else 1.0
+    prefactor = 4.0 * math.pi**2 * 1j / SQRT2
+    return sign * prefactor * half * residue(product) / math.sin(math.pi * t)
+
+
+class TestChamberPolynomials:
+    def test_branches_match_per_point_series(self, rng):
+        for _ in range(20):
+            comp = make_random_space(rng, n_components=1).components[0]
+            poly = _branch_polynomials(comp)
+            for t in (0.03, 0.3, 0.5, 0.77, 0.97):
+                for branch in ("below", "above"):
+                    expected = series_branch_value(comp, t, branch)
+                    value = poly.at(t, branch) / math.sin(math.pi * t)
+                    assert abs(value - expected) <= 1e-12 * (1.0 + abs(expected))
+
+    @pytest.mark.parametrize("n", range(1, 31))
+    def test_products_match_closed_form(self, n):
+        space = make_product_space(n)
+        for t in GRID:
+            closed = product_closed_form(n, t)
+            assert abs(density(space, t).total - closed) <= 1e-10 * abs(closed)
+
+    def test_one_sided_wall_values_are_chamber_limits(self, rng):
+        # Richardson limits of the adjacent chambers' densities as t -> mu
+        offsets = [1e-3, 5e-4, 2.5e-4, 1.25e-4]
+        left = EvalOptions(wall_policy=WallPolicy.LEFT_LIMIT)
+        right = EvalOptions(wall_policy=WallPolicy.RIGHT_LIMIT)
+        walls_checked = 0
+        for _ in range(25):
+            space = make_random_space(rng)
+            for wall in {float(c.mu) for c in space.components if not c.central}:
+                from_left = extrapolate_to_zero(
+                    [(h, density(space, wall - h).total) for h in offsets]
+                )[0].real
+                from_right = extrapolate_to_zero(
+                    [(h, density(space, wall + h).total) for h in offsets]
+                )[0].real
+                assert density(space, wall, left).total == pytest.approx(
+                    from_left, rel=1e-7, abs=1e-7
+                )
+                assert density(space, wall, right).total == pytest.approx(
+                    from_right, rel=1e-7, abs=1e-7
+                )
+                walls_checked += 1
+        assert walls_checked >= 20
+
+    def test_each_component_is_compiled_once(self):
+        _compile.cache_clear()
+        space = make_s4()
+        scan(space, GRID)
+        density(space, 0.3)
+        central_density(space, CentralElement.IDENTITY)
+        reduced_volume(space, CentralElement.MINUS_IDENTITY)
+        info = _compile.cache_info()
+        assert info.misses == len(space.components)
+        assert info.maxsize is not None
 
 
 class TestReducedVolume:
