@@ -163,6 +163,8 @@ def _parse_grid(spec: str, walls: set[Fraction]) -> list[float]:
         exact_start, exact_step = Fraction(parts[0]), Fraction(parts[2])
     except ValueError:
         raise SpaceFormatError(f"grid must be numeric START:END:STEP, got {spec!r}") from None
+    if not math.isfinite(end):
+        raise SpaceFormatError("grid end must be finite")
     if step <= 0:
         raise SpaceFormatError("grid step must be positive")
     if not start < end:

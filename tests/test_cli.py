@@ -158,6 +158,13 @@ class TestEval:
     def test_grid_outside_alcove_is_usage_error(self):
         run_cli("eval", "--builtin", "s4", "--grid", "0:1:0.5", expect=2)
 
+    @pytest.mark.parametrize(
+        "grid", ["0.1:inf:0.1", "inf:0.9:0.1", "0.1:0.9:inf", "nan:0.9:0.1"]
+    )
+    def test_non_finite_grid_is_usage_error(self, grid):
+        proc = run_cli("eval", "--builtin", "s4", "--grid", grid, expect=2)
+        assert proc.stdout == "" and "grid" in proc.stderr
+
     def test_fourier_mode(self):
         proc = run_cli(
             "eval", "--builtin", "s4", "--t", "0.5", "--mode", "fourier",
