@@ -26,18 +26,13 @@ from .fourier import (
     reconstruct_density,
 )
 from .model import (
-    NORMALIZATION,
     VOL_G,
     VOL_T,
     AlcoveRangeError,
-    ComponentData,
     DensityResult,
     FixedComponent,
-    Normalization,
     QHSpace,
     SpaceFormatError,
-    conjugate_component,
-    expand_components,
     load_space,
     save_space,
 )
@@ -69,14 +64,11 @@ __version__ = "0.1.0"
 __all__ = [
     "AlcoveRangeError",
     "CentralElement",
-    "ComponentData",
     "DensityResult",
     "EvalOptions",
     "FixedComponent",
     "GammaRangeError",
     "NonRealDensityError",
-    "NORMALIZATION",
-    "Normalization",
     "QHSpace",
     "QuadratureError",
     "QuadratureResult",
@@ -97,12 +89,10 @@ __all__ = [
     "coefficient_quadrature",
     "component_central_density",
     "component_density",
-    "conjugate_component",
     "density",
     "exp_sum_extrapolated",
     "exp_sum_partial",
     "exp_sum_residue",
-    "expand_components",
     "fourier_coefficient",
     "load_space",
     "make_product_space",

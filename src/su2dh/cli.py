@@ -24,15 +24,10 @@ import sys
 from fractions import Fraction
 from typing import Any
 
-from .expsum import (
-    GammaRangeError,
-    RationalPoleFunction,
-    _check_gamma,
-    exp_sum_extrapolated,
-    exp_sum_residue,
-)
+from .expsum import RationalPoleFunction, _check_gamma, exp_sum_extrapolated, exp_sum_residue
+from .extrapolation import abel_ladder
 from .fourier import QuadratureError, SummationError, SummationMethod, reconstruct_density
-from .model import AlcoveRangeError, SpaceFormatError, load_space, require_interior_alcove
+from .model import SpaceFormatError, load_space, require_interior_alcove
 from .residue import (
     CentralElement,
     EvalOptions,
@@ -58,7 +53,6 @@ _WALL_POLICIES = {
 }
 
 _NUMERIC_ERRORS = (WallError, NonRealDensityError, SummationError, QuadratureError)
-_USAGE_ERRORS = (SpaceFormatError, AlcoveRangeError, GammaRangeError)
 
 
 def _fmt(x: float) -> str:
@@ -197,8 +191,7 @@ def _cmd_eval(args: argparse.Namespace) -> int:
     method = SummationMethod(
         kind=args.method,
         terms=args.terms,
-        abel_r=args.abel,
-        richardson_levels=args.richardson,
+        abel_r=tuple(1.0 - h for h in abel_ladder(args.abel, args.richardson)),
     )
     labels = sorted(c.label for c in space.components)
 
@@ -405,9 +398,6 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "central":
             return _cmd_central(args)
         return _cmd_lemma(args)
-    except _USAGE_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -20,12 +20,15 @@ This module is both a standalone utility and the backbone consistency check
 for the density evaluator: the density formulas are exactly two instances of
 this identity with gamma = pi*(t + mu) and gamma = pi*(mu - t).
 
-A direct summation oracle is included.  For k = 1 the series is only
-conditionally convergent, so the oracle supports Abel damping r^{|m|}, and
-`exp_sum_extrapolated` removes the damping bias by Richardson extrapolation
-in 1 - r.  The extrapolation ladder increases the damping (r moving away
-from 1) so that the truncation error at M terms stays negligible for every
-node.
+`RationalPoleFunction` is the package's one evaluator of sum_k a_k x^{-k};
+the Fourier path calls it too.  A direct summation oracle is included.  It
+pairs m with -m, so the terms are e^{i*m*gamma} f(m) + e^{-i*m*gamma} f(-m).
+For k = 1 the series is only conditionally convergent, so the oracle
+supports Abel damping r^{|m|}, and `exp_sum_extrapolated` removes the
+damping bias by Richardson extrapolation in 1 - r.  Its ladder
+(`extrapolation.abel_ladder`) increases the damping (r moving away from 1)
+so that the truncation error at M terms stays negligible for every node; the
+undamped terms are computed once and shared by all nodes.
 """
 
 from __future__ import annotations
@@ -36,7 +39,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .extrapolation import extrapolate_to_zero
+from .extrapolation import abel_ladder, extrapolate_to_zero
 from .series import (
     add,
     bose_kernel,
@@ -118,30 +121,34 @@ def exp_sum_residue(f: RationalPoleFunction, gamma: float) -> complex:
     return -2j * math.pi * residue(product)
 
 
+def _paired_terms(f: RationalPoleFunction, gamma: float, M: int) -> tuple[np.ndarray, np.ndarray]:
+    """m = 1..M and the undamped terms e^{i*m*gamma} f(m) + e^{-i*m*gamma} f(-m)."""
+    if M < 1:
+        raise ValueError("M must be >= 1")
+    m = np.arange(1, M + 1, dtype=float)
+    # f's results are bound to names before the products: an inline
+    # ``phase * f(m)`` lets numpy reuse f's temporary in place, which rounds
+    # differently for large M.
+    f_pos = f(m)
+    f_neg = f(-m)
+    phase = np.exp(1j * gamma * m)
+    return m, phase * f_pos + np.conj(phase) * f_neg
+
+
+def _damped_sum(m: np.ndarray, terms: np.ndarray, damping_r: float) -> complex:
+    if damping_r != 1.0:
+        terms = terms * np.exp(m * math.log(damping_r))
+    return complex(np.sum(terms))
+
+
 def exp_sum_partial(
     f: RationalPoleFunction, gamma: float, M: int, damping_r: float = 1.0
 ) -> complex:
     """Damped partial sum  sum_{0 < |m| <= M} e^{i*m*gamma} f(m) r^{|m|}."""
-    if M < 1:
-        raise ValueError("M must be >= 1")
     if not (0.0 < damping_r <= 1.0):
         raise ValueError("damping_r must lie in (0, 1]")
-    m = np.arange(1, M + 1, dtype=float)
-    inv = 1.0 / m
-    f_pos = np.zeros(M, dtype=complex)
-    f_neg = np.zeros(M, dtype=complex)
-    power = np.ones(M)
-    for k in range(1, f.max_order + 1):
-        power = power * inv
-        a = f.coeffs.get(k)
-        if a is not None:
-            f_pos += a * power
-            f_neg += a * ((-1.0) ** k) * power
-    phase = np.exp(1j * gamma * m)
-    terms = phase * f_pos + np.conj(phase) * f_neg
-    if damping_r != 1.0:
-        terms = terms * np.exp(m * math.log(damping_r))
-    return complex(np.sum(terms))
+    m, terms = _paired_terms(f, gamma, M)
+    return _damped_sum(m, terms, damping_r)
 
 
 def exp_sum_extrapolated(
@@ -153,19 +160,13 @@ def exp_sum_extrapolated(
 ) -> complex:
     """Abel value of the sum: damped partial sums extrapolated to r -> 1.
 
-    Nodes are r_j with 1 - r_j = (1 - damping_r) * 2**j for j = 0..levels, so
-    the least-damped node is the given ``damping_r`` and the truncation error
-    of every node is controlled by it.
+    The nodes are the ladder ``abel_ladder(damping_r, levels)``, so the
+    least-damped node is the given ``damping_r`` and the truncation error of
+    every node is controlled by it.  The undamped terms are computed once
+    and each node only applies its damping.
     """
-    if levels < 0:
-        raise ValueError("levels must be >= 0")
-    if not (0.0 < damping_r < 1.0):
-        raise ValueError("damping_r must lie in (0, 1) for extrapolation")
-    samples = []
-    for j in range(levels + 1):
-        h = (1.0 - damping_r) * 2.0**j
-        if h >= 1.0:
-            raise ValueError("extrapolation ladder leaves (0, 1); decrease levels")
-        samples.append((h, exp_sum_partial(f, gamma, M, 1.0 - h)))
+    ladder = abel_ladder(damping_r, levels)
+    m, terms = _paired_terms(f, gamma, M)
+    samples = [(h, _damped_sum(m, terms, 1.0 - h)) for h in ladder]
     value, _ = extrapolate_to_zero(samples)
     return value

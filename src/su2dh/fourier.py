@@ -8,7 +8,9 @@ components:
 
 where the sum runs over the *full* fixed-point family: each stored
 non-central component together with its Weyl-reflected partner, central
-components once.  The density is then reconstructed as the character series
+components once.  The partner has mu -> -mu and I_{F'}(z) = I_F(-z), so its
+term is the component's own pole function (`RationalPoleFunction`)
+evaluated at -(n+1).  The density is then reconstructed as the character series
 
     density(exp(t*rho)) = (2*pi/sqrt(2)) * sum_n <density, chi_n> * chi_n(exp(t*rho)),
 
@@ -19,8 +21,9 @@ chi_n are computed from these formulas, never tabulated.
 For minimal-codimension data (coefficients starting at z^{-2}) the series is
 only conditionally convergent, so summation methods are provided: plain
 partial sums, Abel damping r^n with Richardson extrapolation in 1 - r
-(the default; Abel summation recovers the pointwise value at smooth points),
-and Cesaro (C,1) means.
+over the radii in `SummationMethod.abel_r` (the default, the ladder of
+`extrapolation.abel_ladder`; Abel summation recovers the pointwise value at
+smooth points), and Cesaro (C,1) means.
 
 `coefficient_quadrature` closes the loop in the other direction: it recovers
 the coefficient of a given density function by Weyl integration over the
@@ -42,11 +45,11 @@ from typing import Callable
 
 import numpy as np
 
-from .extrapolation import extrapolate_to_zero
-from .model import QHSpace, VOL_G, expand_components, require_interior_alcove
+from .expsum import RationalPoleFunction
+from .extrapolation import abel_ladder, extrapolate_to_zero
+from .model import VOL_G, VOL_T, QHSpace, require_interior_alcove
 
-_SQRT2 = math.sqrt(2.0)
-_RECONSTRUCTION_FACTOR = 2.0 * math.pi / _SQRT2
+_RECONSTRUCTION_FACTOR = 2.0 * math.pi / VOL_T
 
 _KINDS = ("partial", "abel", "cesaro")
 
@@ -63,59 +66,45 @@ class QuadratureError(ArithmeticError):
 class SummationMethod:
     """How to sum the character series.
 
-    ``abel_r`` is either a single damping radius (the extrapolation ladder is
-    then 1 - r, 2(1 - r), ... with ``richardson_levels`` doublings) or an
-    explicit sequence of radii used directly as extrapolation nodes.
+    ``abel_r`` holds the Abel damping radii, used directly as Richardson
+    extrapolation nodes in h = 1 - r.  The default is the doubling ladder
+    ``1 - h for h in abel_ladder(0.999, 2)``, about 0.999, 0.998, 0.996; see
+    :func:`su2dh.extrapolation.abel_ladder`.  ``kind`` "partial" and
+    "cesaro" ignore ``abel_r``.
     """
 
     kind: str = "abel"
     terms: int = 10_000
-    abel_r: float | tuple[float, ...] = 0.999
-    richardson_levels: int = 2
+    abel_r: tuple[float, ...] = tuple(1.0 - h for h in abel_ladder(0.999, 2))
 
     def __post_init__(self) -> None:
         if self.kind not in _KINDS:
             raise ValueError(f"summation kind must be one of {_KINDS}, got {self.kind!r}")
         if not isinstance(self.terms, int) or isinstance(self.terms, bool) or self.terms < 1:
             raise ValueError("terms must be an integer >= 1")
-        if self.richardson_levels < 0:
-            raise ValueError("richardson_levels must be >= 0")
-        radii = self.abel_r if isinstance(self.abel_r, (tuple, list)) else (self.abel_r,)
-        object.__setattr__(
-            self,
-            "abel_r",
-            self.abel_r if isinstance(self.abel_r, float) else tuple(float(r) for r in radii),
-        )
-        for r in radii:
-            if not (0.0 < float(r) < 1.0):
+        if not isinstance(self.abel_r, (tuple, list)) or not self.abel_r:
+            raise ValueError(f"abel_r must be a nonempty tuple of radii, got {self.abel_r!r}")
+        object.__setattr__(self, "abel_r", tuple(float(r) for r in self.abel_r))
+        for r in self.abel_r:
+            if not (0.0 < r < 1.0):
                 raise ValueError(f"abel_r values must lie in (0, 1), got {r!r}")
-
-    def abel_nodes(self) -> list[float]:
-        if isinstance(self.abel_r, tuple):
-            return list(self.abel_r)
-        nodes = []
-        for j in range(self.richardson_levels + 1):
-            h = (1.0 - self.abel_r) * 2.0**j
-            if h >= 1.0:
-                raise ValueError("extrapolation ladder leaves (0, 1); decrease levels")
-            nodes.append(1.0 - h)
-        return nodes
 
 
 def _localization_terms(space: QHSpace, weights: np.ndarray) -> np.ndarray:
-    """Coefficients <density, chi_n> for n + 1 = weights (a float array)."""
+    """Coefficients <density, chi_n> for n + 1 = weights (a float array).
+
+    The Weyl partner F' of a non-central component has mu_{F'} = -mu_F and
+    I_{F'}(z) = I_F(-z), so it is the same pole function evaluated at -w.
+    """
     total = np.zeros(weights.shape, dtype=complex)
-    for comp in expand_components(space):
-        inv = 1.0 / weights
-        power = np.ones_like(weights)
-        poly = np.zeros(weights.shape, dtype=complex)
-        max_k = max(comp.euler_integral)
-        for k in range(1, max_k + 1):
-            power = power * inv
-            a = comp.euler_integral.get(k)
-            if a is not None:
-                poly = poly + a * power
-        total += weights * poly * np.exp(1j * math.pi * float(comp.mu) * weights)
+    for comp in space.components:
+        f = RationalPoleFunction(comp.euler_integral)
+        mu = float(comp.mu)
+        value = f(weights)
+        total += weights * value * np.exp(1j * math.pi * mu * weights)
+        if not comp.central:
+            value = f(-weights)
+            total += weights * value * np.exp(-1j * math.pi * mu * weights)
     return total
 
 
@@ -154,19 +143,18 @@ def reconstruct_density(
     else:
         samples = []
         n_index = np.arange(n_terms, dtype=float)
-        for r in method.abel_nodes():
+        for r in method.abel_r:
             damping = np.exp(n_index * math.log(r))
             partial = _RECONSTRUCTION_FACTOR * complex(np.sum(base_terms * damping))
             samples.append((1.0 - r, partial))
-        if len(samples) == 1:
-            value = samples[0][1]
-        else:
-            value, last_change = extrapolate_to_zero(samples)
-            if convergence_tol is not None and last_change > 10.0 * convergence_tol:
-                raise SummationError(
-                    f"Abel/Richardson levels disagree by {last_change:.3e}, "
-                    f"more than 10x the target tolerance {convergence_tol:.3e}"
-                )
+        # a single node extrapolates to itself, with a NaN correction that
+        # never trips the tolerance check
+        value, last_change = extrapolate_to_zero(samples)
+        if convergence_tol is not None and last_change > 10.0 * convergence_tol:
+            raise SummationError(
+                f"Abel/Richardson levels disagree by {last_change:.3e}, "
+                f"more than 10x the target tolerance {convergence_tol:.3e}"
+            )
     return value.real
 
 
@@ -175,15 +163,12 @@ class QuadratureRule:
     """Adaptive composite Gauss-Legendre configuration."""
 
     points: int = 64
-    rule: str = "gauss-legendre"
     rel_tol: float = 1e-11
     abs_tol: float = 1e-12
     max_refinements: int = 12
     endpoint_clip: float = 1e-9
 
     def __post_init__(self) -> None:
-        if self.rule != "gauss-legendre":
-            raise ValueError(f"unsupported quadrature rule {self.rule!r}")
         if self.points < 2:
             raise ValueError("quadrature needs at least 2 points per panel")
 

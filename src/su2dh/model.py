@@ -42,19 +42,8 @@ class AlcoveRangeError(ValueError):
     """Raised when an evaluation point leaves the open alcove (0, 1)."""
 
 
-@dataclass(frozen=True)
-class Normalization:
-    """Normalization constants induced by (alpha, alpha) = 2.  Fixed."""
-
-    vol_t: float = math.sqrt(2.0)
-    vol_g: float = math.sqrt(2.0) / (2.0 * math.pi)
-    rho_norm_sq: float = 0.5
-
-
-NORMALIZATION = Normalization()
-
-VOL_T = NORMALIZATION.vol_t
-VOL_G = NORMALIZATION.vol_g
+VOL_T = math.sqrt(2.0)
+VOL_G = VOL_T / (2.0 * math.pi)
 
 
 def require_interior_alcove(t: float) -> float:
@@ -123,27 +112,6 @@ class FixedComponent:
 
 
 @dataclass(frozen=True)
-class ComponentData:
-    """Raw (mu, coefficients) data; mu may be negative for reflected partners."""
-
-    label: str
-    mu: Fraction
-    euler_integral: Mapping[int, complex]
-
-
-def conjugate_component(component: FixedComponent | ComponentData) -> ComponentData:
-    """Weyl-reflected partner data: mu -> -mu and c_k -> (-1)^k c_k.
-
-    The sign flip is the coefficient map of evaluating the Euler integral at
-    -z; reflecting twice returns the original data exactly.  Central
-    components are their own partners up to the sign of mu, and consumers
-    must count them once.
-    """
-    flipped = {k: ((-1) ** k) * c for k, c in component.euler_integral.items()}
-    return ComponentData(component.label, -component.mu, flipped)
-
-
-@dataclass(frozen=True)
 class QHSpace:
     """Named collection of fixed-point components plus stabilizer data.
 
@@ -177,20 +145,6 @@ class QHSpace:
             if c.label == label:
                 return c
         raise KeyError(label)
-
-
-def expand_components(space: QHSpace) -> list[ComponentData]:
-    """Full fixed-point family: stored components plus reflected partners.
-
-    Non-central components contribute the pair {F, F^w}; central ones are
-    self-paired and appear once.
-    """
-    expanded: list[ComponentData] = []
-    for comp in space.components:
-        expanded.append(ComponentData(comp.label, comp.mu, dict(comp.euler_integral)))
-        if not comp.central:
-            expanded.append(conjugate_component(comp))
-    return expanded
 
 
 @dataclass(frozen=True)

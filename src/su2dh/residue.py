@@ -57,6 +57,7 @@ from functools import lru_cache
 from typing import Iterable, Sequence
 
 from .model import (
+    VOL_T,
     AlcoveRangeError,
     DensityResult,
     FixedComponent,
@@ -65,8 +66,7 @@ from .model import (
 )
 from .series import TruncSeries, bose_kernel, exp_linear, from_coefficients, mul, shift
 
-_SQRT2 = math.sqrt(2.0)
-_PREFACTOR = 4.0 * math.pi**2 * 1j / _SQRT2
+_PREFACTOR = 4.0 * math.pi**2 * 1j / VOL_T
 
 
 class WallError(ArithmeticError):
@@ -248,7 +248,7 @@ def central_density(
 
 def interior_volume(space: QHSpace, t: float, density_value: float) -> float:
     """Reduced volume k * (2*sin(pi*t)/sqrt(2)) * density at an interior t."""
-    return space.stabilizer_order * (2.0 * math.sin(math.pi * t) / _SQRT2) * density_value
+    return space.stabilizer_order * (2.0 * math.sin(math.pi * t) / VOL_T) * density_value
 
 
 def reduced_volume(
@@ -260,7 +260,7 @@ def reduced_volume(
     if isinstance(at, CentralElement):
         return (
             space.stabilizer_order
-            * (2.0 * math.pi / _SQRT2)
+            * (2.0 * math.pi / VOL_T)
             * central_density(space, at, options)
         )
     result = density(space, at, options)

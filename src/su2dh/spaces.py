@@ -19,10 +19,8 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .model import FixedComponent, QHSpace, require_interior_alcove
+from .model import VOL_T, FixedComponent, QHSpace, require_interior_alcove
 from .series import bose_kernel, exp_linear, mul, sin_linear
-
-_SQRT2 = math.sqrt(2.0)
 
 
 def make_s4() -> QHSpace:
@@ -81,7 +79,7 @@ def product_closed_form(n: int, t: float) -> float:
         bose_kernel(high),
     )
     coefficient = g.coefficient(2 * n - 2)
-    value = _SQRT2 * (1j * coefficient) / (2.0**n * math.pi ** (2 * n - 2) * math.sin(math.pi * t))
+    value = VOL_T * (1j * coefficient) / (2.0**n * math.pi ** (2 * n - 2) * math.sin(math.pi * t))
     if abs(value.imag) > 1e-9 * (1.0 + abs(value.real)):
         raise ArithmeticError(
             f"closed form produced a non-real value (imag {value.imag:.3e})"

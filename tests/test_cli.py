@@ -4,10 +4,24 @@ import csv
 import io
 import json
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
+
+import su2dh
+
+GOLDEN = Path(__file__).parent / "golden"
+
+# Child interpreters do not inherit pytest's sys.path, so each child gets a
+# PYTHONPATH holding the su2dh this process imported.
+_SRC = str(Path(su2dh.__file__).resolve().parent.parent)
+_CHILD_ENV = dict(
+    os.environ,
+    PYTHONPATH=os.pathsep.join(p for p in (_SRC, os.environ.get("PYTHONPATH")) if p),
+)
 
 
 def run_cli(*args: str, expect: int = 0):
@@ -15,6 +29,7 @@ def run_cli(*args: str, expect: int = 0):
         [sys.executable, "-m", "su2dh", *args],
         capture_output=True,
         text=True,
+        env=_CHILD_ENV,
     )
     assert proc.returncode == expect, proc.stderr
     return proc
@@ -165,6 +180,14 @@ class TestEval:
         proc = run_cli("eval", "--builtin", "s4", "--grid", grid, expect=2)
         assert proc.stdout == "" and "grid" in proc.stderr
 
+    @pytest.mark.parametrize("mode", ["residue", "fourier"])
+    def test_abel_ladder_leaving_unit_interval_is_usage_error(self, mode):
+        # --abel 0.5 --richardson 2 asks for the radius 1 - 0.5 * 4 < 0; it is
+        # refused in every mode, also where the ladder would go unused
+        args = ("eval", "--builtin", "s4", "--t", "0.3", "--mode", mode)
+        proc = run_cli(*args, "--abel", "0.5", "--richardson", "2", expect=2)
+        assert proc.stdout == "" and "ladder" in proc.stderr
+
     def test_fourier_mode(self):
         proc = run_cli(
             "eval", "--builtin", "s4", "--t", "0.5", "--mode", "fourier",
@@ -262,3 +285,35 @@ class TestParser:
     def test_unknown_builtin(self):
         proc = run_cli("eval", "--builtin", "torus", "--t", "0.5", expect=2)
         assert "unknown builtin" in proc.stderr
+
+
+class TestGolden:
+    """Byte-for-byte stdout of fixed commands; any changed digit must be deliberate."""
+
+    CASES = {
+        "eval_s4_both.csv": (
+            "eval", "--builtin", "s4", "--grid", "0.01:0.99:0.01", "--mode", "both",
+        ),
+        "eval_product5_both.json": (
+            "eval", "--builtin", "product:5", "--grid", "0.05:0.95:0.05", "--mode", "both",
+            "--format", "json",
+        ),
+        "eval_double_cesaro.csv": (
+            "eval", "--builtin", "double", "--grid", "0.1:0.9:0.1", "--mode", "fourier",
+            "--method", "cesaro", "--terms", "3000",
+        ),
+        "central_product3.csv": ("central", "--builtin", "product:3", "--at", "-e"),
+        "lemma.json": (
+            "lemma", "--coeff", "2:0.7", "--coeff", "3:0:-0.4", "--coeff", "4:-0.2",
+            "--gamma", "-2.1", "--format", "json",
+        ),
+        "eval_walled_left.csv": (
+            "eval", "--space", str(GOLDEN / "walled.json"), "--grid", "0.1:0.9:0.1",
+            "--mode", "both", "--wall-policy", "left", "--abel", "0.99", "--richardson", "3",
+        ),
+    }
+
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_stdout_matches(self, name):
+        proc = run_cli(*self.CASES[name])
+        assert proc.stdout.encode("utf-8") == (GOLDEN / name).read_bytes()

@@ -11,6 +11,7 @@ from su2dh.expsum import (
     exp_sum_partial,
     exp_sum_residue,
 )
+from su2dh.extrapolation import abel_ladder, extrapolate_to_zero
 from su2dh.series import add, bose_kernel, exp_linear, monomial, mul, reciprocal, scale
 
 TWO_PI = 2.0 * math.pi
@@ -114,6 +115,35 @@ class TestPartialSums:
             exp_sum_partial(f, 1.0, 0)
         with pytest.raises(ValueError):
             exp_sum_partial(f, 1.0, 10, damping_r=1.5)
+
+
+class TestAbelLadder:
+    def test_nodes_double(self):
+        assert abel_ladder(0.9, 3) == [(1.0 - 0.9) * 2.0**j for j in range(4)]
+        assert abel_ladder(0.999, 0) == [1.0 - 0.999]
+
+    def test_validation(self):
+        with pytest.raises(ValueError, match="levels"):
+            abel_ladder(0.999, -1)
+        for r in (0.0, 1.0, 1.5, float("nan")):
+            with pytest.raises(ValueError, match="damping_r"):
+                abel_ladder(r, 2)
+        with pytest.raises(ValueError, match="leaves"):
+            abel_ladder(0.5, 1)
+        with pytest.raises(ValueError, match="leaves"):
+            abel_ladder(0.999, 2000)  # fails at the first bad node, before 2.0**j overflows
+
+    def test_extrapolated_is_the_ladder_of_partial_sums(self, rng):
+        # one shared evaluation of the undamped terms gives the same bits as
+        # one damped partial sum per node; M = 40_000 is past the size where
+        # numpy may reuse temporaries in place
+        cases = ((1.3, 7, 0.9, 0), (-2.1, 5000, 0.999, 2), (4.0, 40_000, 0.9999, 3))
+        for gamma, M, r, levels in cases:
+            ks = rng.sample([1, 2, 3, 4, 5], k=rng.randint(1, 3))
+            coeffs = {k: complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for k in ks}
+            f = RationalPoleFunction(coeffs)
+            samples = [(h, exp_sum_partial(f, gamma, M, 1 - h)) for h in abel_ladder(r, levels)]
+            assert exp_sum_extrapolated(f, gamma, M, r, levels) == extrapolate_to_zero(samples)[0]
 
 
 class TestOracleAgreement:

@@ -1,9 +1,11 @@
 """Fourier-localization oracle: coefficients, reconstruction, quadrature."""
 
+import cmath
 import math
 
 import pytest
 
+from su2dh.extrapolation import abel_ladder
 from su2dh.fourier import (
     QuadratureRule,
     SummationMethod,
@@ -63,6 +65,28 @@ class TestCoefficients:
         with pytest.raises(ValueError):
             fourier_coefficient(make_s4(), -1)
 
+    def test_full_family_sum(self, rng):
+        # formula (1) of docs/derivation.md summed over the full family, with
+        # each Weyl partner written out by the documented rule: mu -> -mu,
+        # c_k -> (-1)^k c_k, central components counted once
+        def family(space):
+            for comp in space.components:
+                yield float(comp.mu), dict(comp.euler_integral)
+                if not comp.central:
+                    flipped = {k: (-1) ** k * c for k, c in comp.euler_integral.items()}
+                    yield -float(comp.mu), flipped
+
+        for _ in range(40):
+            space = make_random_space(rng)
+            for n in (0, 1, 5, 37):
+                w = n + 1
+                expected = w * sum(
+                    sum(c * w**-k for k, c in coeffs.items()) * cmath.exp(1j * math.pi * w * mu)
+                    for mu, coeffs in family(space)
+                )
+                value = fourier_coefficient(space, n)
+                assert abs(value - expected) <= 1e-12 * abs(expected)
+
 
 class TestReconstruction:
     ABEL_NODES = SummationMethod(kind="abel", terms=100_000, abel_r=(0.99, 0.995, 0.999))
@@ -74,7 +98,7 @@ class TestReconstruction:
     def test_zero_space_all_methods(self):
         for method in (
             SummationMethod(kind="partial", terms=100),
-            SummationMethod(kind="abel", terms=100, abel_r=0.99, richardson_levels=1),
+            SummationMethod(kind="abel", terms=100, abel_r=(0.99, 0.98)),
             SummationMethod(kind="cesaro", terms=100),
         ):
             assert reconstruct_density(zero_space(), 0.37, method) == 0.0
@@ -97,9 +121,7 @@ class TestReconstruction:
                     reconstruct_density(
                         space,
                         t,
-                        SummationMethod(
-                            kind="abel", terms=100_000, abel_r=r, richardson_levels=0
-                        ),
+                        SummationMethod(kind="abel", terms=100_000, abel_r=(r,)),
                     )
                     - exact
                 )
@@ -125,7 +147,7 @@ class TestReconstruction:
             ),
             1,
         )
-        method = SummationMethod(kind="abel", terms=50_000, abel_r=0.999, richardson_levels=2)
+        method = SummationMethod(kind="abel", terms=50_000, abel_r=(0.999, 0.998, 0.996))
         for t in (0.3, 0.45, 0.55, 0.7):
             lhs = reconstruct_density(space, t, method)
             rhs = density(space, t).total
@@ -145,13 +167,17 @@ class TestReconstruction:
         with pytest.raises(ValueError):
             SummationMethod(abel_r=(0.9, 1.0))
         with pytest.raises(ValueError):
-            SummationMethod(richardson_levels=-1)
+            SummationMethod(abel_r=())
+
+    def test_default_nodes_are_the_abel_ladder(self):
+        assert SummationMethod().abel_r == tuple(1.0 - h for h in abel_ladder(0.999, 2))
+        assert SummationMethod().abel_r == pytest.approx((0.999, 0.998, 0.996), abs=1e-15)
 
     def test_divergent_richardson_levels_are_flagged(self):
         # an implausibly tight target makes the level disagreement visible
         from su2dh.fourier import SummationError
 
-        method = SummationMethod(kind="abel", terms=2000, abel_r=0.9, richardson_levels=2)
+        method = SummationMethod(kind="abel", terms=2000, abel_r=(0.9, 0.8, 0.6))
         with pytest.raises(SummationError, match="disagree"):
             reconstruct_density(make_s4(), 0.5, method, convergence_tol=1e-18)
 
@@ -183,8 +209,6 @@ class TestQuadrature:
                 assert abs(localized.imag) <= 1e-12
 
     def test_rule_validation(self):
-        with pytest.raises(ValueError):
-            QuadratureRule(rule="simpson")
         with pytest.raises(ValueError):
             coefficient_quadrature(lambda t: 0.0, -1)
 

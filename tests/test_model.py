@@ -1,19 +1,18 @@
-"""Data model: validation, conjugation, space-file round trips."""
+"""Data model: validation, constants, space-file round trips."""
 
 import json
+import math
 from fractions import Fraction
 
 import pytest
 
 from su2dh.model import (
-    NORMALIZATION,
+    VOL_G,
+    VOL_T,
     AlcoveRangeError,
-    ComponentData,
     FixedComponent,
     QHSpace,
     SpaceFormatError,
-    conjugate_component,
-    expand_components,
     load_space,
     require_interior_alcove,
     save_space,
@@ -24,9 +23,9 @@ from conftest import make_random_space
 
 class TestNormalization:
     def test_constants(self):
-        assert NORMALIZATION.vol_t == pytest.approx(2.0**0.5, rel=1e-15)
-        assert NORMALIZATION.vol_g == pytest.approx(2.0**0.5 / (2.0 * 3.141592653589793), rel=1e-15)
-        assert NORMALIZATION.rho_norm_sq == 0.5
+        assert VOL_T == math.sqrt(2.0)
+        assert VOL_T == pytest.approx(2.0**0.5, rel=1e-15)
+        assert VOL_G == pytest.approx(2.0**0.5 / (2.0 * 3.141592653589793), rel=1e-15)
 
     def test_alcove_guard(self):
         assert require_interior_alcove(0.5) == 0.5
@@ -61,43 +60,6 @@ class TestFixedComponent:
     def test_non_finite_coefficients_rejected(self, bad):
         with pytest.raises(SpaceFormatError, match="power 4 must be finite"):
             FixedComponent("a", Fraction(1, 2), {2: 1.0, 4: bad})
-
-
-class TestConjugation:
-    def test_sign_rules(self):
-        base = FixedComponent("a", Fraction(3, 10), {2: 1.0, 3: 1.0})
-        partner = conjugate_component(base)
-        assert partner.mu == Fraction(-3, 10)
-        assert partner.euler_integral[2] == 1.0
-        assert partner.euler_integral[3] == -1.0
-
-    def test_involution(self, rng):
-        for _ in range(20):
-            space = make_random_space(rng)
-            for comp in space.components:
-                twice = conjugate_component(conjugate_component(comp))
-                assert twice.mu == comp.mu
-                assert twice.euler_integral == dict(comp.euler_integral)
-
-    def test_central_maps_to_itself_up_to_sign(self):
-        comp = FixedComponent("a", Fraction(0), {2: 2.0})
-        partner = conjugate_component(comp)
-        assert partner.mu == 0
-        assert partner.euler_integral == {2: 2.0}
-
-    def test_expansion_counts(self, rng):
-        for _ in range(20):
-            space = make_random_space(rng)
-            expanded = expand_components(space)
-            for comp in space.components:
-                family = [c for c in expanded if c.label == comp.label]
-                assert len(family) == (1 if comp.central else 2)
-                for k, c in comp.euler_integral.items():
-                    total = sum(member.euler_integral[k] for member in family)
-                    expected = (1 if comp.central else 2) * c if k % 2 == 0 else (
-                        0.0 if not comp.central else c
-                    )
-                    assert total == expected
 
 
 class TestSpaceValidation:
@@ -240,8 +202,3 @@ class TestSpaceFiles:
         with pytest.raises(SpaceFormatError, match="duplicate power"):
             load_space(doc)
 
-
-class TestComponentData:
-    def test_plain_record(self):
-        data = ComponentData("a", Fraction(-1, 4), {2: 1.0})
-        assert data.mu < 0  # reflected partners may leave the alcove
