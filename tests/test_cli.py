@@ -311,6 +311,15 @@ class TestGolden:
             "eval", "--space", str(GOLDEN / "walled.json"), "--grid", "0.1:0.9:0.1",
             "--mode", "both", "--wall-policy", "left", "--abel", "0.99", "--richardson", "3",
         ),
+        "eval_walled_error.json": (
+            "eval", "--space", str(GOLDEN / "walled.json"), "--grid", "0.1:0.9:0.1",
+            "--format", "json",
+        ),
+        "eval_s4_fourier.json": (
+            "eval", "--builtin", "s4", "--grid", "0.1:0.9:0.2", "--mode", "fourier",
+            "--format", "json",
+        ),
+        "central_s4.json": ("central", "--builtin", "s4", "--at", "e", "--format", "json"),
     }
 
     @pytest.mark.parametrize("name", sorted(CASES))
