@@ -35,7 +35,6 @@ from .residue import (
     WallError,
     WallPolicy,
     central_density,
-    density,
     interior_volume,
     reduced_volume,
     scan,
@@ -60,10 +59,6 @@ def _fmt(x: float) -> str:
     if x == 0.0:
         x = 0.0  # avoid emitting the sign of a negative zero
     return format(x, ".15g")
-
-
-def _json_number(x: float) -> float:
-    return float(_fmt(x))
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -171,11 +166,18 @@ def _parse_grid(spec: str, walls: set[Fraction]) -> list[float]:
     return [t for t in points if t <= end + 1e-12]
 
 
-def _emit(lines_csv: str, payload_json: dict[str, Any], args: argparse.Namespace) -> None:
+def _emit(
+    header: list[str], rows: list[list[str]], payload: dict[str, Any], args: argparse.Namespace
+) -> None:
+    """Write the rows as CSV, or the payload as JSON, to --out or standard output."""
     if args.format == "csv":
-        text = lines_csv
+        buffer = io.StringIO()
+        writer = csv.writer(buffer, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
+        text = buffer.getvalue()
     else:
-        text = json.dumps(payload_json, indent=2, sort_keys=True) + "\n"
+        text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
     if args.out:
         with open(args.out, "w", encoding="utf-8", newline="") as handle:
             handle.write(text)
@@ -183,24 +185,37 @@ def _emit(lines_csv: str, payload_json: dict[str, Any], args: argparse.Namespace
         sys.stdout.write(text)
 
 
+def _json_row(header: list[str], cells: list[str]) -> dict[str, Any]:
+    """A row's cells keyed by header, with the component cells nested by label."""
+    row: dict[str, Any] = {}
+    for name, cell in zip(header, cells):
+        if name.startswith("component_"):
+            row.setdefault("components", {})[name.removeprefix("component_")] = float(cell)
+        else:
+            row[name] = float(cell)
+    return row
+
+
 def _cmd_eval(args: argparse.Namespace) -> int:
     space = _load_selected_space(args)
     options = EvalOptions(
         imag_tolerance=args.imag_tol, wall_policy=_WALL_POLICIES[args.wall_policy]
     )
+    if not (0.0 < args.abel < 1.0):
+        raise SpaceFormatError("--abel must lie in (0, 1)")
+    if args.richardson < 0:
+        raise SpaceFormatError("--richardson must be >= 0")
     method = SummationMethod(
         kind=args.method,
         terms=args.terms,
         abel_r=tuple(1.0 - h for h in abel_ladder(args.abel, args.richardson)),
     )
-    labels = sorted(c.label for c in space.components)
 
-    if args.mode == "fourier":
-        header = ["t", "density", "volume"]
-    else:
-        header = ["t", "density", "volume"] + [f"component_{label}" for label in labels]
-        if args.mode == "both":
-            header += ["fourier_density", "abs_diff"]
+    header = ["t", "density", "volume"]
+    if args.mode != "fourier":
+        header += [f"component_{c.label}" for c in space.components]
+    if args.mode == "both":
+        header += ["fourier_density", "abs_diff"]
 
     if args.t is not None:
         grid = [args.t]
@@ -209,75 +224,33 @@ def _cmd_eval(args: argparse.Namespace) -> int:
     for t in grid:
         require_interior_alcove(t)
 
-    rows: list[dict[str, Any]] = []
+    rows: list[list[str]] = []
+    json_rows: list[dict[str, Any]] = []
     if args.mode == "fourier":
         for t in grid:
             value = reconstruct_density(space, t, method)
-            rows.append(
-                {
-                    "t": t,
-                    "density": value,
-                    "volume": interior_volume(space, t, value),
-                }
-            )
-    elif args.t is not None:
-        result = density(space, args.t, options)
-        volume = interior_volume(space, result.t, result.total)
-        rows.append(_eval_row(args, space, method, result, volume, labels))
+            rows.append([_fmt(x) for x in (t, value, interior_volume(space, t, value))])
+            json_rows.append(_json_row(header, rows[-1]))
     else:
-        for point in scan(space, grid, options):
+        # a single --t fails on a wall or non-real value; a grid skips the point
+        for point in scan(space, grid, options, fail_fast=args.t is not None):
             if point.error is not None:
                 print(f"warning: skipping t = {_fmt(point.t)}: {point.error}", file=sys.stderr)
-                rows.append({"t": point.t, "error": point.error})
+                rows.append([_fmt(point.t)] + [""] * (len(header) - 1))
+                json_rows.append({"t": float(rows[-1][0]), "error": point.error})
                 continue
-            rows.append(_eval_row(args, space, method, point.result, point.volume, labels))
+            result = point.result
+            values = [result.t, result.total, point.volume]
+            values += [result.per_component[c.label] for c in space.components]
+            if args.mode == "both":
+                fourier_value = reconstruct_density(space, result.t, method)
+                values += [fourier_value, abs(result.total - fourier_value)]
+            rows.append([_fmt(x) for x in values])
+            json_rows.append(_json_row(header, rows[-1]))
 
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(header)
-    for row in rows:
-        if "error" in row:
-            writer.writerow([_fmt(row["t"])] + [""] * (len(header) - 1))
-            continue
-        record = [_fmt(row["t"]), _fmt(row["density"]), _fmt(row["volume"])]
-        if args.mode != "fourier":
-            record += [_fmt(row["components"][label]) for label in labels]
-        if args.mode == "both":
-            record += [_fmt(row["fourier_density"]), _fmt(row["abs_diff"])]
-        writer.writerow(record)
-
-    payload = {
-        "command": "eval",
-        "space": space.name,
-        "mode": args.mode,
-        "rows": [_round_row(row) for row in rows],
-    }
-    _emit(buffer.getvalue(), payload, args)
+    payload = {"command": "eval", "space": space.name, "mode": args.mode, "rows": json_rows}
+    _emit(header, rows, payload, args)
     return EXIT_OK
-
-
-def _eval_row(args, space, method, result, volume, labels) -> dict[str, Any]:
-    row: dict[str, Any] = {"t": result.t}
-    row["density"] = result.total
-    row["volume"] = volume
-    row["components"] = {label: result.per_component[label] for label in labels}
-    if args.mode == "both":
-        fourier_value = reconstruct_density(space, result.t, method)
-        row["fourier_density"] = fourier_value
-        row["abs_diff"] = abs(result.total - fourier_value)
-    return row
-
-
-def _round_row(row: dict[str, Any]) -> dict[str, Any]:
-    out: dict[str, Any] = {}
-    for key, value in row.items():
-        if isinstance(value, float):
-            out[key] = _json_number(value)
-        elif isinstance(value, dict):
-            out[key] = {k: _json_number(v) for k, v in value.items()}
-        else:
-            out[key] = value
-    return out
 
 
 def _cmd_central(args: argparse.Namespace) -> int:
@@ -289,21 +262,16 @@ def _cmd_central(args: argparse.Namespace) -> int:
         "of the moment map; this cannot be verified from fixed-point data",
         file=sys.stderr,
     )
-    value = central_density(space, which, options)
-    volume = reduced_volume(space, which, options)
-
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(["at", "density", "volume"])
-    writer.writerow([args.at, _fmt(value), _fmt(volume)])
+    density = _fmt(central_density(space, which, options))
+    volume = _fmt(reduced_volume(space, which, options))
     payload = {
         "command": "central",
         "space": space.name,
         "at": args.at,
-        "density": _json_number(value),
-        "volume": _json_number(volume),
+        "density": float(density),
+        "volume": float(volume),
     }
-    _emit(buffer.getvalue(), payload, args)
+    _emit(["at", "density", "volume"], [[args.at, density, volume]], payload, args)
     return EXIT_OK
 
 
@@ -345,31 +313,20 @@ def _cmd_lemma(args: argparse.Namespace) -> int:
     passed = diff <= args.tol * (1.0 + abs(residue_value))
     status = "PASS" if passed else "FAIL"
 
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(
-        ["gamma", "residue_re", "residue_im", "partial_re", "partial_im", "abs_diff", "status"]
-    )
-    writer.writerow(
-        [
-            _fmt(args.gamma),
-            _fmt(residue_value.real),
-            _fmt(residue_value.imag),
-            _fmt(oracle_value.real),
-            _fmt(oracle_value.imag),
-            _fmt(diff),
-            status,
-        ]
-    )
+    values = (args.gamma, residue_value.real, residue_value.imag)
+    values += (oracle_value.real, oracle_value.imag, diff)
+    cells = [_fmt(x) for x in values]
+    gamma, residue_re, residue_im, partial_re, partial_im, abs_diff = map(float, cells)
+    header = ["gamma", "residue_re", "residue_im", "partial_re", "partial_im", "abs_diff"]
     payload = {
         "command": "lemma",
-        "gamma": _json_number(args.gamma),
-        "residue": [_json_number(residue_value.real), _json_number(residue_value.imag)],
-        "partial_sum": [_json_number(oracle_value.real), _json_number(oracle_value.imag)],
-        "abs_diff": _json_number(diff),
+        "gamma": gamma,
+        "residue": [residue_re, residue_im],
+        "partial_sum": [partial_re, partial_im],
+        "abs_diff": abs_diff,
         "status": status,
     }
-    _emit(buffer.getvalue(), payload, args)
+    _emit(header + ["status"], [cells + [status]], payload, args)
     return EXIT_OK if passed else EXIT_NUMERIC
 
 

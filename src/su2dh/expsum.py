@@ -8,9 +8,11 @@ Abel-summed two-sided series into a single residue at the origin:
         sum_{m != 0} e^{i*m*gamma} f(m)
             = -2*pi*i * Res_0[ f(z) e^{i*gamma*z} / (e^{2*pi*i*z} - 1) ]
 
-    -2*pi < gamma < 0:
-        sum_{m != 0} e^{i*m*gamma} f(m)
-            = -2*pi*i * Res_0[ f(z) e^{i*gamma*z} / (1 - e^{-2*pi*i*z}) ]
+For -2*pi < gamma < 0 the substitution m -> -m turns the sum into the one
+for f(-z), whose coefficients are (-1)^k a_k, at the phase -gamma > 0, so one
+kernel serves both ranges.  The reflected kernel 1/(1 - e^{-2*pi*i*z}) is
+-1/(e^{-2*pi*i*z} - 1), so each term of its residue differs from the term
+computed here only in sign, and the value is the same to the bit.
 
 The intervals are strictly open: at gamma in {-2*pi, 0, 2*pi} the series
 changes regime (for k = 1 it diverges), so no analytic continuation across
@@ -40,17 +42,7 @@ from typing import Mapping
 import numpy as np
 
 from .extrapolation import abel_ladder, extrapolate_to_zero
-from .series import (
-    add,
-    bose_kernel,
-    exp_linear,
-    from_coefficients,
-    monomial,
-    mul,
-    reciprocal,
-    residue,
-    scale,
-)
+from .series import bose_kernel, exp_linear, from_coefficients, mul, residue
 
 _TWO_PI = 2.0 * math.pi
 _GUARD_TERMS = 4
@@ -108,16 +100,14 @@ def _check_gamma(gamma: float) -> float:
 def exp_sum_residue(f: RationalPoleFunction, gamma: float) -> complex:
     """Value of sum_{m != 0} e^{i*m*gamma} f(m) via a single residue at 0."""
     gamma = _check_gamma(gamma)
+    coeffs = f.coeffs
+    if gamma < 0:
+        # m -> -m: the sum for f(-z) at -gamma
+        coeffs = {k: -a if k % 2 else a for k, a in coeffs.items()}
+        gamma = -gamma
     high = f.max_order + _GUARD_TERMS
-    pole_part = from_coefficients({-k: a for k, a in f.coeffs.items()})
-    phase = exp_linear(1j * gamma, high)
-    if gamma > 0:
-        kernel = bose_kernel(high)
-    else:
-        # 1/(1 - e^{-2*pi*i*z}), the kernel for the reflected range
-        denom = add(monomial(1.0, 0), scale(-1.0, exp_linear(-2j * math.pi, high + 2)))
-        kernel = reciprocal(denom)
-    product = mul(mul(phase, kernel), pole_part)
+    pole_part = from_coefficients({-k: a for k, a in coeffs.items()})
+    product = mul(mul(exp_linear(1j * gamma, high), bose_kernel(high)), pole_part)
     return -2j * math.pi * residue(product)
 
 

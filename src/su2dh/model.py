@@ -167,6 +167,25 @@ class DensityResult:
 # ---------------------------------------------------------------------------
 
 
+def _check_object(value: Any, fields: tuple[str, ...], path: str) -> None:
+    """Require an object holding exactly ``fields``, which are in schema order.
+
+    The first unknown field by its text and the first missing field in
+    schema order are named, so the message never depends on set iteration
+    order.  Keys are compared as text because a mapping passed in directly
+    may mix key types.
+    """
+    if not isinstance(value, Mapping):
+        raise SpaceFormatError(f"malformed space file: {path}: must be an object")
+    extra = set(value) - set(fields)
+    if extra:
+        first = min(extra, key=str)
+        raise SpaceFormatError(f"malformed space file: {path}.{first}: unknown field")
+    for key in fields:
+        if key not in value:
+            raise SpaceFormatError(f"malformed space file: {path}: missing field {key!r}")
+
+
 def _check_number(value: Any, path: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise SpaceFormatError(f"malformed space file: {path}: expected a number")
@@ -208,18 +227,7 @@ def load_space(document: Union[str, bytes, Mapping[str, Any]]) -> QHSpace:
             document = json.loads(document)
         except json.JSONDecodeError as exc:
             raise SpaceFormatError(f"malformed space file: not valid JSON: {exc}") from exc
-    if not isinstance(document, Mapping):
-        raise SpaceFormatError("malformed space file: top level must be an object")
-
-    allowed = {"name", "stabilizer_order", "components"}
-    extra = set(document) - allowed
-    if extra:
-        raise SpaceFormatError(
-            f"malformed space file: unknown field {sorted(extra)[0]!r}"
-        )
-    for key in allowed:
-        if key not in document:
-            raise SpaceFormatError(f"malformed space file: missing field {key!r}")
+    _check_object(document, ("name", "stabilizer_order", "components"), "document")
 
     name = document["name"]
     if not isinstance(name, str) or not name:
@@ -239,19 +247,7 @@ def load_space(document: Union[str, bytes, Mapping[str, Any]]) -> QHSpace:
     seen_labels: set[str] = set()
     for i, entry in enumerate(raw_components):
         path = f"components[{i}]"
-        if not isinstance(entry, Mapping):
-            raise SpaceFormatError(f"malformed space file: {path}: must be an object")
-        entry_allowed = {"label", "mu", "coefficients"}
-        entry_extra = set(entry) - entry_allowed
-        if entry_extra:
-            raise SpaceFormatError(
-                f"malformed space file: {path}.{sorted(entry_extra)[0]}: unknown field"
-            )
-        for key in entry_allowed:
-            if key not in entry:
-                raise SpaceFormatError(
-                    f"malformed space file: {path}: missing field {key!r}"
-                )
+        _check_object(entry, ("label", "mu", "coefficients"), path)
         label = entry["label"]
         if not isinstance(label, str) or not label:
             raise SpaceFormatError(
@@ -286,21 +282,7 @@ def load_space(document: Union[str, bytes, Mapping[str, Any]]) -> QHSpace:
         coeffs: dict[int, complex] = {}
         for j, item in enumerate(raw_coeffs):
             cpath = f"{path}.coefficients[{j}]"
-            if not isinstance(item, Mapping):
-                raise SpaceFormatError(
-                    f"malformed space file: {cpath}: must be an object"
-                )
-            item_allowed = {"power", "re", "im"}
-            item_extra = set(item) - item_allowed
-            if item_extra:
-                raise SpaceFormatError(
-                    f"malformed space file: {cpath}.{sorted(item_extra)[0]}: unknown field"
-                )
-            for key in item_allowed:
-                if key not in item:
-                    raise SpaceFormatError(
-                        f"malformed space file: {cpath}: missing field {key!r}"
-                    )
+            _check_object(item, ("power", "re", "im"), cpath)
             power = item["power"]
             if isinstance(power, bool) or not isinstance(power, int) or power < 2:
                 raise SpaceFormatError(

@@ -24,12 +24,16 @@ _CHILD_ENV = dict(
 )
 
 
-def run_cli(*args: str, expect: int = 0):
+def run_cli(
+    *args: str, expect: int = 0, env: dict[str, str] | None = None, input: str | None = None
+):
+    """Run ``python -m su2dh`` with extra environment variables and standard input."""
     proc = subprocess.run(
         [sys.executable, "-m", "su2dh", *args],
         capture_output=True,
         text=True,
-        env=_CHILD_ENV,
+        input=input,
+        env={**_CHILD_ENV, **(env or {})},
     )
     assert proc.returncode == expect, proc.stderr
     return proc
@@ -187,6 +191,42 @@ class TestEval:
         args = ("eval", "--builtin", "s4", "--t", "0.3", "--mode", mode)
         proc = run_cli(*args, "--abel", "0.5", "--richardson", "2", expect=2)
         assert proc.stdout == "" and "ladder" in proc.stderr
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (("--abel", "1.5"), "--abel must lie in (0, 1)"),
+            (("--abel", "nan"), "--abel must lie in (0, 1)"),
+            (("--richardson", "-1"), "--richardson must be >= 0"),
+        ],
+    )
+    def test_bad_abel_flags_are_named(self, flags, message):
+        proc = run_cli("eval", "--builtin", "s4", "--t", "0.3", *flags, expect=2)
+        assert proc.stdout == "" and message in proc.stderr
+
+    @pytest.mark.parametrize(
+        "missing, message",
+        [
+            (("name", "components"), "document: missing field 'name'"),
+            (("mu", "coefficients"), "components[0]: missing field 'mu'"),
+        ],
+    )
+    def test_missing_field_does_not_depend_on_hash_seed(self, missing, message):
+        # the first missing field in schema order is named, whatever order a
+        # set of field names would iterate in
+        from su2dh.model import save_space
+        from su2dh.spaces import make_s4
+
+        doc = json.loads(save_space(make_s4()))
+        target = doc if "name" in missing else doc["components"][0]
+        for key in missing:
+            del target[key]
+        for seed in range(6):
+            proc = run_cli(
+                "eval", "--space", "/dev/stdin", "--t", "0.3", expect=2,
+                env={"PYTHONHASHSEED": str(seed)}, input=json.dumps(doc),
+            )
+            assert message in proc.stderr, (seed, proc.stderr)
 
     def test_fourier_mode(self):
         proc = run_cli(

@@ -5,6 +5,7 @@ import math
 import pytest
 
 from su2dh.expsum import (
+    _GUARD_TERMS,
     GammaRangeError,
     RationalPoleFunction,
     exp_sum_extrapolated,
@@ -12,7 +13,17 @@ from su2dh.expsum import (
     exp_sum_residue,
 )
 from su2dh.extrapolation import abel_ladder, extrapolate_to_zero
-from su2dh.series import add, bose_kernel, exp_linear, monomial, mul, reciprocal, scale
+from su2dh.series import (
+    add,
+    bose_kernel,
+    exp_linear,
+    from_coefficients,
+    monomial,
+    mul,
+    reciprocal,
+    residue,
+    scale,
+)
 
 TWO_PI = 2.0 * math.pi
 
@@ -49,6 +60,25 @@ class TestResidueSide:
         for gamma in (-0.3, -math.pi / 2, -3.5, -5.9):
             value = exp_sum_residue(f, gamma)
             assert value == pytest.approx(-1j * (math.pi + gamma), abs=1e-12)
+
+    def test_negative_range_matches_reflected_kernel_exactly(self, rng):
+        # gamma < 0 is evaluated as f(-z) at -gamma; that must give the bits of
+        # the residue with the reflected kernel 1/(1 - e^{-2*pi*i*z}) at gamma
+        for _ in range(300):
+            ks = rng.sample(range(1, 9), k=rng.randint(1, 4))
+            f = RationalPoleFunction(
+                {k: complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for k in ks}
+            )
+            gamma = -rng.uniform(1e-3, TWO_PI - 1e-3)
+            high = f.max_order + _GUARD_TERMS
+            kernel = reciprocal(
+                add(monomial(1.0, 0), scale(-1.0, exp_linear(-2j * math.pi, high + 2)))
+            )
+            pole_part = from_coefficients({-k: a for k, a in f.coeffs.items()})
+            product = mul(mul(exp_linear(1j * gamma, high), kernel), pole_part)
+            expected = -2j * math.pi * residue(product)
+            value = exp_sum_residue(f, gamma)
+            assert (value.real, value.imag) == (expected.real, expected.imag)
 
     def test_real_even_data_gives_real_output(self):
         f = RationalPoleFunction({2: 0.7, 4: -0.2})

@@ -163,6 +163,18 @@ class TestSpaceFiles:
         with pytest.raises(SpaceFormatError, match="unknown field"):
             load_space(doc)
 
+    def test_document_messages_name_the_document(self):
+        doc = json.loads(save_space(make_s4()))
+        with pytest.raises(SpaceFormatError, match="document: must be an object"):
+            load_space("[]")
+        with pytest.raises(SpaceFormatError, match=r"document\.extra: unknown field"):
+            load_space({**doc, "extra": 1})
+        with pytest.raises(SpaceFormatError, match=r"document\.1: unknown field"):
+            load_space({**doc, 1: 0, "z": 0})  # mixed key types, as a mapping may have
+        del doc["stabilizer_order"], doc["name"]
+        with pytest.raises(SpaceFormatError, match="document: missing field 'name'"):
+            load_space(doc)
+
     def test_missing_field_named(self):
         doc = json.loads(save_space(make_s4()))
         del doc["components"][0]["mu"]
