@@ -125,10 +125,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _load_selected_space(args: argparse.Namespace):
     if args.builtin is not None:
-        try:
-            return builtin_space(args.builtin)
-        except ValueError as exc:
-            raise SpaceFormatError(str(exc)) from exc
+        return builtin_space(args.builtin)
     try:
         with open(args.space, "r", encoding="utf-8") as handle:
             text = handle.read()
@@ -306,6 +303,8 @@ def _cmd_lemma(args: argparse.Namespace) -> int:
         raise SpaceFormatError("--M must be >= 1")
     if not (0.0 < args.r < 1.0):
         raise SpaceFormatError("--r must lie in (0, 1)")
+    if not (math.isfinite(args.tol) and args.tol > 0):
+        raise SpaceFormatError("--tol must be finite and positive")
 
     residue_value = exp_sum_residue(f, args.gamma)
     oracle_value = exp_sum_extrapolated(f, args.gamma, M=args.M, damping_r=args.r)

@@ -35,6 +35,7 @@ undamped terms are computed once and shared by all nodes.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from typing import Mapping
@@ -45,7 +46,6 @@ from .extrapolation import abel_ladder, extrapolate_to_zero
 from .series import bose_kernel, exp_linear, from_coefficients, mul, residue
 
 _TWO_PI = 2.0 * math.pi
-_GUARD_TERMS = 4
 
 
 class GammaRangeError(ValueError):
@@ -65,7 +65,10 @@ class RationalPoleFunction:
         for k, a in self.coeffs.items():
             if not isinstance(k, int) or isinstance(k, bool) or k < 1:
                 raise ValueError(f"pole order must be an integer >= 1, got {k!r}")
-            cleaned[k] = complex(a)
+            a = complex(a)
+            if not cmath.isfinite(a):
+                raise ValueError(f"pole coefficient of order {k} must be finite, got {a!r}")
+            cleaned[k] = a
         object.__setattr__(self, "coeffs", dict(sorted(cleaned.items())))
 
     @property
@@ -105,7 +108,8 @@ def exp_sum_residue(f: RationalPoleFunction, gamma: float) -> complex:
         # m -> -m: the sum for f(-z) at -gamma
         coeffs = {k: -a if k % 2 else a for k, a in coeffs.items()}
         gamma = -gamma
-    high = f.max_order + _GUARD_TERMS
+    # the residue pairs z^-k of f with z^(k-1) of the rest, so k <= max_order suffices
+    high = f.max_order
     pole_part = from_coefficients({-k: a for k, a in coeffs.items()})
     product = mul(mul(exp_linear(1j * gamma, high), bose_kernel(high)), pole_part)
     return -2j * math.pi * residue(product)

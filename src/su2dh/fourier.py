@@ -135,26 +135,27 @@ def reconstruct_density(
     characters = np.sin(math.pi * t * weights) / math.sin(math.pi * t)
     base_terms = coefficients * characters
 
+    # each kind is a list of (extrapolation node, damping) pairs; a single
+    # sample extrapolates to itself, with a NaN correction that never trips
+    # the tolerance check
+    n_index = np.arange(n_terms, dtype=float)
     if method.kind == "partial":
-        value = _RECONSTRUCTION_FACTOR * complex(np.sum(base_terms))
+        ladder = [(1.0, 1.0)]
     elif method.kind == "cesaro":
-        damping = 1.0 - np.arange(n_terms, dtype=float) / n_terms
-        value = _RECONSTRUCTION_FACTOR * complex(np.sum(base_terms * damping))
+        ladder = [(1.0, 1.0 - n_index / n_terms)]
     else:
-        samples = []
-        n_index = np.arange(n_terms, dtype=float)
-        for r in method.abel_r:
-            damping = np.exp(n_index * math.log(r))
-            partial = _RECONSTRUCTION_FACTOR * complex(np.sum(base_terms * damping))
-            samples.append((1.0 - r, partial))
-        # a single node extrapolates to itself, with a NaN correction that
-        # never trips the tolerance check
-        value, last_change = extrapolate_to_zero(samples)
-        if convergence_tol is not None and last_change > 10.0 * convergence_tol:
-            raise SummationError(
-                f"Abel/Richardson levels disagree by {last_change:.3e}, "
-                f"more than 10x the target tolerance {convergence_tol:.3e}"
-            )
+        # lazy, so one damping array is alive at a time
+        ladder = ((1.0 - r, np.exp(n_index * math.log(r))) for r in method.abel_r)
+    samples = [
+        (h, _RECONSTRUCTION_FACTOR * complex(np.sum(base_terms * damping)))
+        for h, damping in ladder
+    ]
+    value, last_change = extrapolate_to_zero(samples)
+    if convergence_tol is not None and last_change > 10.0 * convergence_tol:
+        raise SummationError(
+            f"Abel/Richardson levels disagree by {last_change:.3e}, "
+            f"more than 10x the target tolerance {convergence_tol:.3e}"
+        )
     return value.real
 
 

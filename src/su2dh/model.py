@@ -53,13 +53,6 @@ def require_interior_alcove(t: float) -> float:
     return t
 
 
-def _as_fraction(value: Union[int, str, Fraction]) -> Fraction:
-    try:
-        return Fraction(value)
-    except (ValueError, ZeroDivisionError, TypeError) as exc:
-        raise SpaceFormatError(f"cannot parse exact rational from {value!r}") from exc
-
-
 @dataclass(frozen=True)
 class FixedComponent:
     """One fixed-point component inside the alcove.
@@ -76,7 +69,13 @@ class FixedComponent:
     def __post_init__(self) -> None:
         if not isinstance(self.label, str) or not self.label:
             raise SpaceFormatError("component label must be a nonempty string")
-        object.__setattr__(self, "mu", _as_fraction(self.mu))
+        try:
+            object.__setattr__(self, "mu", Fraction(self.mu))
+        except (ValueError, ZeroDivisionError, TypeError, OverflowError) as exc:
+            raise SpaceFormatError(
+                f"component {self.label!r}: cannot parse mu as an exact rational "
+                f"from {self.mu!r}"
+            ) from exc
         if not (0 <= self.mu <= 1):
             raise SpaceFormatError(
                 f"mu out of alcove range: component {self.label!r} has mu = {self.mu}"
@@ -133,9 +132,10 @@ class QHSpace:
             raise SpaceFormatError("space name must be a nonempty string")
         if not self.components:
             raise SpaceFormatError("space must have at least one component")
-        labels = [c.label for c in self.components]
-        if len(set(labels)) != len(labels):
-            raise SpaceFormatError("component labels must be unique")
+        labels = [c.label for c in self.components]  # sorted, so repeats are adjacent
+        repeated = next((a for a, b in zip(labels, labels[1:]) if a == b), None)
+        if repeated is not None:
+            raise SpaceFormatError(f"component labels must be unique; {repeated!r} repeats")
         order = self.stabilizer_order
         if not isinstance(order, int) or isinstance(order, bool) or order < 1:
             raise SpaceFormatError("stabilizer_order must be an integer >= 1")
@@ -217,10 +217,28 @@ def _fraction_to_text(value: Fraction) -> str:
     return f"{sign}{text[:-digits]}.{text[-digits:]}" if digits else f"{sign}{text}"
 
 
+def _judge(path: str, constructor, *args):
+    """Build a model object, naming ``path`` in any rule it breaks."""
+    try:
+        return constructor(*args)
+    except SpaceFormatError as exc:
+        raise SpaceFormatError(f"malformed space file: {path}: {exc}") from exc
+
+
+def _check_array(value: Any, path: str) -> list:
+    if not isinstance(value, list):
+        raise SpaceFormatError(f"malformed space file: {path}: must be an array")
+    return value
+
+
 def load_space(document: Union[str, bytes, Mapping[str, Any]]) -> QHSpace:
     """Parse and validate a space document (JSON text or parsed mapping).
 
-    Error messages carry the path of the offending field.
+    The loader checks the JSON shape; every rule on the values belongs to
+    :class:`FixedComponent` and :class:`QHSpace`.  Each error starts with
+    ``malformed space file:`` and names the offending component
+    (``components[i]``), the ``document``, or the path of the offending
+    field.
     """
     if isinstance(document, (str, bytes)):
         try:
@@ -229,58 +247,17 @@ def load_space(document: Union[str, bytes, Mapping[str, Any]]) -> QHSpace:
             raise SpaceFormatError(f"malformed space file: not valid JSON: {exc}") from exc
     _check_object(document, ("name", "stabilizer_order", "components"), "document")
 
-    name = document["name"]
-    if not isinstance(name, str) or not name:
-        raise SpaceFormatError("malformed space file: name: must be a nonempty string")
-    order = document["stabilizer_order"]
-    if isinstance(order, bool) or not isinstance(order, int) or order < 1:
-        raise SpaceFormatError(
-            "malformed space file: stabilizer_order: must be an integer >= 1"
-        )
-    raw_components = document["components"]
-    if not isinstance(raw_components, list) or not raw_components:
-        raise SpaceFormatError(
-            "malformed space file: components: must be a nonempty array"
-        )
-
     components: list[FixedComponent] = []
-    seen_labels: set[str] = set()
-    for i, entry in enumerate(raw_components):
+    for i, entry in enumerate(_check_array(document["components"], "components")):
         path = f"components[{i}]"
         _check_object(entry, ("label", "mu", "coefficients"), path)
-        label = entry["label"]
-        if not isinstance(label, str) or not label:
-            raise SpaceFormatError(
-                f"malformed space file: {path}.label: must be a nonempty string"
-            )
-        if label in seen_labels:
-            raise SpaceFormatError(
-                f"malformed space file: {path}.label: duplicate label {label!r}"
-            )
-        seen_labels.add(label)
-        mu_raw = entry["mu"]
-        if not isinstance(mu_raw, str):
+        if not isinstance(entry["mu"], str):
             raise SpaceFormatError(
                 f"malformed space file: {path}.mu: must be a string holding an exact "
                 f"decimal or rational"
             )
-        try:
-            mu = Fraction(mu_raw)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise SpaceFormatError(
-                f"malformed space file: {path}.mu: cannot parse {mu_raw!r}"
-            ) from exc
-        if not (0 <= mu <= 1):
-            raise SpaceFormatError(
-                f"malformed space file: {path}.mu: mu out of alcove range"
-            )
-        raw_coeffs = entry["coefficients"]
-        if not isinstance(raw_coeffs, list) or not raw_coeffs:
-            raise SpaceFormatError(
-                f"malformed space file: {path}.coefficients: must be a nonempty array"
-            )
         coeffs: dict[int, complex] = {}
-        for j, item in enumerate(raw_coeffs):
+        for j, item in enumerate(_check_array(entry["coefficients"], f"{path}.coefficients")):
             cpath = f"{path}.coefficients[{j}]"
             _check_object(item, ("power", "re", "im"), cpath)
             power = item["power"]
@@ -296,9 +273,11 @@ def load_space(document: Union[str, bytes, Mapping[str, Any]]) -> QHSpace:
             re = _check_number(item["re"], f"{cpath}.re")
             im = _check_number(item["im"], f"{cpath}.im")
             coeffs[power] = complex(re, im)
-        components.append(FixedComponent(label, mu, coeffs))
+        components.append(_judge(path, FixedComponent, entry["label"], entry["mu"], coeffs))
 
-    return QHSpace(name, tuple(components), order)
+    return _judge(
+        "document", QHSpace, document["name"], tuple(components), document["stabilizer_order"]
+    )
 
 
 def save_space(space: QHSpace) -> str:

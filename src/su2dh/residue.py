@@ -94,8 +94,8 @@ class EvalOptions:
     wall_policy: WallPolicy = WallPolicy.ERROR
 
     def __post_init__(self) -> None:
-        if not self.imag_tolerance > 0:
-            raise ValueError("imag_tolerance must be positive")
+        if not (math.isfinite(self.imag_tolerance) and self.imag_tolerance > 0):
+            raise ValueError("imag_tolerance must be finite and positive")
 
 
 DEFAULT_OPTIONS = EvalOptions()

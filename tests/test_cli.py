@@ -204,6 +204,12 @@ class TestEval:
         proc = run_cli("eval", "--builtin", "s4", "--t", "0.3", *flags, expect=2)
         assert proc.stdout == "" and message in proc.stderr
 
+    def test_infinite_imag_tol_rejected(self):
+        # an infinite tolerance would accept any imaginary residual
+        for args in (("eval", "--t", "0.3"), ("central", "--at", "e")):
+            proc = run_cli(*args, "--builtin", "s4", "--imag-tol", "inf", expect=2)
+            assert proc.stdout == "" and "imag_tolerance must be finite" in proc.stderr
+
     @pytest.mark.parametrize(
         "missing, message",
         [
@@ -303,6 +309,19 @@ class TestLemma:
     def test_coeff_required_after_gamma_check(self):
         proc = run_cli("lemma", "--gamma", "1.0", expect=2)
         assert "--coeff" in proc.stderr
+
+    @pytest.mark.parametrize("tol", ["inf", "nan", "-1", "0"])
+    def test_bad_tol_is_named(self, tol):
+        # the input is at fault, so no PASS or FAIL row is printed
+        proc = run_cli("lemma", "--coeff", "2:1", "--gamma", "1", "--M", "10", "--tol", tol,
+                       expect=2)
+        assert proc.stdout == "" and "--tol must be finite and positive" in proc.stderr
+
+    @pytest.mark.parametrize("coeff", ["2:nan", "2:inf", "2:0:-inf"])
+    def test_non_finite_coefficient_rejected(self, coeff):
+        proc = run_cli("lemma", "--coeff", coeff, "--gamma", "1", expect=2)
+        assert proc.stdout == "" and "must be finite" in proc.stderr
+        assert "RuntimeWarning" not in proc.stderr
 
     def test_complex_coefficient_grammar(self):
         run_cli("lemma", "--coeff", "2:0.5:-0.25", "--gamma", "2.0")

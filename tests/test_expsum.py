@@ -5,7 +5,6 @@ import math
 import pytest
 
 from su2dh.expsum import (
-    _GUARD_TERMS,
     GammaRangeError,
     RationalPoleFunction,
     exp_sum_extrapolated,
@@ -40,6 +39,11 @@ class TestPoleFunction:
         with pytest.raises(ValueError):
             RationalPoleFunction({})
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), complex(0.0, float("-inf"))])
+    def test_non_finite_coefficient_rejected(self, bad):
+        with pytest.raises(ValueError, match="order 3 must be finite"):
+            RationalPoleFunction({2: 1.0, 3: bad})
+
 
 class TestResidueSide:
     def test_alternating_inverse_squares(self):
@@ -70,7 +74,7 @@ class TestResidueSide:
                 {k: complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for k in ks}
             )
             gamma = -rng.uniform(1e-3, TWO_PI - 1e-3)
-            high = f.max_order + _GUARD_TERMS
+            high = f.max_order + 4
             kernel = reciprocal(
                 add(monomial(1.0, 0), scale(-1.0, exp_linear(-2j * math.pi, high + 2)))
             )

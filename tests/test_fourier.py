@@ -173,6 +173,16 @@ class TestReconstruction:
         assert SummationMethod().abel_r == tuple(1.0 - h for h in abel_ladder(0.999, 2))
         assert SummationMethod().abel_r == pytest.approx((0.999, 0.998, 0.996), abs=1e-15)
 
+    def test_single_sample_never_trips_the_tolerance(self):
+        # one sample extrapolates to itself with a NaN correction
+        for method in (
+            SummationMethod(kind="partial", terms=2000),
+            SummationMethod(kind="cesaro", terms=2000),
+            SummationMethod(kind="abel", terms=2000, abel_r=(0.9,)),
+        ):
+            value = reconstruct_density(make_s4(), 0.5, method, convergence_tol=1e-18)
+            assert value == reconstruct_density(make_s4(), 0.5, method)
+
     def test_divergent_richardson_levels_are_flagged(self):
         # an implausibly tight target makes the level disagreement visible
         from su2dh.fourier import SummationError

@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 from fractions import Fraction
 
 import pytest
@@ -46,6 +47,11 @@ class TestFixedComponent:
         with pytest.raises(SpaceFormatError, match="mu out of alcove range"):
             FixedComponent("a", Fraction(3, 2), {2: 1.0})
 
+    @pytest.mark.parametrize("bad", ["x", "1/0", float("inf"), None])
+    def test_unparseable_mu_rejected(self, bad):
+        with pytest.raises(SpaceFormatError, match="component 'a': cannot parse mu"):
+            FixedComponent("a", bad, {2: 1.0})
+
     def test_power_floor_enforced(self):
         with pytest.raises(SpaceFormatError, match="order >= 2"):
             FixedComponent("a", Fraction(0), {1: 1.0})
@@ -71,6 +77,12 @@ class TestSpaceValidation:
     def test_empty_components_rejected(self):
         with pytest.raises(SpaceFormatError, match="at least one"):
             QHSpace("x", (), 1)
+
+    def test_duplicate_label_is_named(self):
+        a = FixedComponent("a", Fraction(0), {2: 1.0})
+        b = FixedComponent("b", Fraction(1, 2), {2: 1.0})
+        with pytest.raises(SpaceFormatError, match="'b' repeats"):
+            QHSpace("x", (b, a, b), 1)
 
     def test_stabilizer_order_floor(self):
         c = FixedComponent("a", Fraction(0), {2: 1.0})
@@ -195,6 +207,44 @@ class TestSpaceFiles:
     def test_invalid_json_rejected(self):
         with pytest.raises(SpaceFormatError, match="not valid JSON"):
             load_space("{not json")
+
+    # each value rule is judged by FixedComponent or QHSpace; the loader only
+    # names the component, or the document, that broke it
+    @pytest.mark.parametrize(
+        "component, field, value, where, rule",
+        [
+            (None, "name", "", "document", "space name must be a nonempty string"),
+            (None, "name", 7, "document", "space name must be a nonempty string"),
+            (None, "stabilizer_order", 0, "document", "stabilizer_order must be an integer"),
+            (None, "stabilizer_order", True, "document", "stabilizer_order must be an integer"),
+            (None, "components", [], "document", "at least one component"),
+            (1, "label", "", "components[1]", "component label must be a nonempty string"),
+            (1, "label", ["e"], "components[1]", "component label must be a nonempty string"),
+            (1, "label", "-e", "document", "component labels must be unique; '-e' repeats"),
+            (1, "mu", "x", "components[1]", "cannot parse mu"),
+            (1, "mu", "1/0", "components[1]", "cannot parse mu"),
+            (1, "mu", "3/2", "components[1]", "mu out of alcove range"),
+            (0, "coefficients", [], "components[0]", "coefficients must be nonempty"),
+        ],
+    )
+    def test_value_rules_name_their_place(self, component, field, value, where, rule):
+        doc = json.loads(save_space(make_s4()))
+        (doc if component is None else doc["components"][component])[field] = value
+        with pytest.raises(SpaceFormatError) as info:
+            load_space(json.dumps(doc))
+        message = str(info.value)
+        assert message.startswith(f"malformed space file: {where}: "), message
+        assert rule in message, message
+
+    @pytest.mark.parametrize(
+        "component, field, path",
+        [(None, "components", "components"), (0, "coefficients", "components[0].coefficients")],
+    )
+    def test_arrays_are_required(self, component, field, path):
+        doc = json.loads(save_space(make_s4()))
+        (doc if component is None else doc["components"][component])[field] = {}
+        with pytest.raises(SpaceFormatError, match=rf"^malformed space file: {re.escape(path)}: "):
+            load_space(doc)
 
     def test_duplicate_power_rejected(self):
         doc = {

@@ -357,3 +357,9 @@ class TestOptions:
     def test_tolerance_must_be_positive(self):
         with pytest.raises(ValueError):
             EvalOptions(imag_tolerance=0.0)
+
+    @pytest.mark.parametrize("bad", [float("inf"), float("nan")])
+    def test_tolerance_must_be_finite(self, bad):
+        # an infinite tolerance would turn the non-real check off
+        with pytest.raises(ValueError, match="finite"):
+            EvalOptions(imag_tolerance=bad)
