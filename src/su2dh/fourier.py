@@ -135,7 +135,7 @@ def reconstruct_density(
     characters = np.sin(math.pi * t * weights) / math.sin(math.pi * t)
     base_terms = coefficients * characters
 
-    # each kind is a list of (extrapolation node, damping) pairs; a single
+    # each kind gives (extrapolation node, damping) pairs; a single
     # sample extrapolates to itself, with a NaN correction that never trips
     # the tolerance check
     n_index = np.arange(n_terms, dtype=float)
