@@ -53,6 +53,10 @@ _WALL_POLICIES = {
 
 _NUMERIC_ERRORS = (WallError, NonRealDensityError, SummationError, QuadratureError)
 
+# Each point of a grid costs one Fraction and one float before any
+# evaluation, so a tiny step must be refused rather than enumerated.
+_MAX_GRID_POINTS = 1_000_000
+
 
 def _fmt(x: float) -> str:
     x = float(x)
@@ -123,6 +127,14 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _from_flag(flag: str, constructor, *args, **kwargs):
+    """Build a library object from a flag's value, naming ``flag`` in any rule it breaks."""
+    try:
+        return constructor(*args, **kwargs)
+    except ValueError as exc:
+        raise SpaceFormatError(f"{flag}: {exc}") from exc
+
+
 def _load_selected_space(args: argparse.Namespace):
     if args.builtin is not None:
         return builtin_space(args.builtin)
@@ -155,7 +167,12 @@ def _parse_grid(spec: str, walls: set[Fraction]) -> list[float]:
         raise SpaceFormatError("grid step must be positive")
     if not start < end:
         raise SpaceFormatError("grid start must be below grid end")
-    count = int(math.floor((end - start) / step + 1e-9))
+    span = (end - start) / step + 1e-9
+    if not span < _MAX_GRID_POINTS:  # also catches an overflow to inf
+        raise SpaceFormatError(
+            f"grid {spec!r} has about {span + 1:.3g} points; the limit is {_MAX_GRID_POINTS}"
+        )
+    count = int(math.floor(span))
     points = []
     for i in range(count + 1):
         exact = exact_start + i * exact_step
@@ -195,14 +212,17 @@ def _json_row(header: list[str], cells: list[str]) -> dict[str, Any]:
 
 def _cmd_eval(args: argparse.Namespace) -> int:
     space = _load_selected_space(args)
-    options = EvalOptions(
-        imag_tolerance=args.imag_tol, wall_policy=_WALL_POLICIES[args.wall_policy]
+    options = _from_flag(
+        "--imag-tol", EvalOptions, args.imag_tol, _WALL_POLICIES[args.wall_policy]
     )
     if not (0.0 < args.abel < 1.0):
         raise SpaceFormatError("--abel must lie in (0, 1)")
     if args.richardson < 0:
         raise SpaceFormatError("--richardson must be >= 0")
-    method = SummationMethod(
+    # --method is a choice and abel_ladder checks the radii, so only --terms can fail
+    method = _from_flag(
+        "--terms",
+        SummationMethod,
         kind=args.method,
         terms=args.terms,
         abel_r=tuple(1.0 - h for h in abel_ladder(args.abel, args.richardson)),
@@ -229,7 +249,7 @@ def _cmd_eval(args: argparse.Namespace) -> int:
             rows.append([_fmt(x) for x in (t, value, interior_volume(space, t, value))])
             json_rows.append(_json_row(header, rows[-1]))
     else:
-        # a single --t fails on a wall or non-real value; a grid skips the point
+        # a single --t fails on a wall, a grid skips the point; non-real data fail both
         for point in scan(space, grid, options, fail_fast=args.t is not None):
             if point.error is not None:
                 print(f"warning: skipping t = {_fmt(point.t)}: {point.error}", file=sys.stderr)
@@ -253,7 +273,7 @@ def _cmd_eval(args: argparse.Namespace) -> int:
 def _cmd_central(args: argparse.Namespace) -> int:
     space = _load_selected_space(args)
     which = CentralElement.IDENTITY if args.at == "e" else CentralElement.MINUS_IDENTITY
-    options = EvalOptions(imag_tolerance=args.imag_tol)
+    options = _from_flag("--imag-tol", EvalOptions, imag_tolerance=args.imag_tol)
     print(
         "warning: central value assumes the evaluation point is a regular value "
         "of the moment map; this cannot be verified from fixed-point data",
@@ -291,7 +311,7 @@ def _parse_pole_coefficients(entries: list[str]) -> RationalPoleFunction:
         coeffs[k] = complex(re, im)
     if not coeffs:
         raise SpaceFormatError("at least one --coeff K:RE[:IM] is required")
-    return RationalPoleFunction(coeffs)
+    return _from_flag("--coeff", RationalPoleFunction, coeffs)
 
 
 def _cmd_lemma(args: argparse.Namespace) -> int:

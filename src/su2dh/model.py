@@ -151,9 +151,10 @@ class QHSpace:
 class DensityResult:
     """Density at one alcove point with per-component breakdown.
 
-    ``max_imag_residual`` is the largest imaginary part discarded when taking
-    real parts, kept for diagnostics; totals are sums of the per-component
-    values up to rounding.
+    ``max_imag_residual`` is the largest relative imaginary residual,
+    max_j |Im c_j| / max_j |c_j|, of the chamber-polynomial branches the
+    call judged (all that an interior point can reach), kept for
+    diagnostics; totals are sums of the per-component values up to rounding.
     """
 
     t: float

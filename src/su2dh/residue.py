@@ -42,9 +42,10 @@ order k:
     Vol = k * (2*sin(pi*t)/sqrt(2)) * density       for interior t,
     Vol = k * (2*pi/sqrt(2))        * density       at the central elements.
 
-Polynomial coefficients are complex; the i-factors cancel only in the
-combination, so every evaluated value is checked to be real (within a
-relative tolerance) and the imaginary residual is reported as a diagnostic.
+Data that respect the reflection symmetry give real branch coefficients, so
+a branch keeps their real parts and one relative imaginary residual,
+max_j |Im c_j| / max_j |c_j|.  Realness is judged once per call, on the
+branches the call can reach; every point is then evaluated in real arithmetic.
 """
 
 from __future__ import annotations
@@ -74,7 +75,7 @@ class WallError(ArithmeticError):
 
 
 class NonRealDensityError(ArithmeticError):
-    """Raised when the computed density has an imaginary residual above tolerance."""
+    """Raised when a branch a call reaches has a relative imaginary residual above tolerance."""
 
 
 class WallPolicy(enum.Enum):
@@ -107,18 +108,20 @@ class _BranchPolynomials:
 
     ``below[j]`` is the coefficient of t^(2j+1), valid for t < mu;
     ``above[j]`` is the coefficient of s^(2j+1) with s = 1 - t, valid for
-    t > mu.
+    t > mu.  Both hold real parts, and ``residual`` maps each branch to the
+    relative imaginary residual of its complex coefficients.
     """
 
     mu: float
-    below: tuple[complex, ...]
-    above: tuple[complex, ...]
+    below: tuple[float, ...]
+    above: tuple[float, ...]
+    residual: dict[str, float]
 
-    def at(self, t: float, branch: str) -> complex:
+    def at(self, t: float, branch: str) -> float:
         """P(x) on ``branch`` ('below' or 'above'), by Horner's rule in x^2."""
         coeffs, x = (self.below, t) if branch == "below" else (self.above, 1.0 - t)
         x2 = x * x
-        acc = 0j
+        acc = 0.0
         for c in reversed(coeffs):
             acc = acc * x2 + c
         return acc * x
@@ -126,55 +129,64 @@ class _BranchPolynomials:
 
 def _odd_coefficients(
     kernel: TruncSeries, weight: float, scale: complex, max_power: int
-) -> tuple[complex, ...]:
-    """Coefficients of x^(2j+1) in scale * Res_0[z e^{pi*i*weight*z} kernel sin(pi*x*z)]."""
+) -> tuple[tuple[float, ...], float]:
+    """Real coefficients of x^(2j+1) in scale * Res_0[z e^{pi*i*weight*z} kernel sin(pi*x*z)].
+
+    Also returns max_j |Im c_j| / max_j |c_j| of the complex ones (0 if all vanish).
+    """
     a = shift(mul(exp_linear(1j * math.pi * weight, max_power - 2), kernel), 1)
     coeffs = []
     taylor = math.pi  # (-1)^j pi^(2j+1) / (2j+1)!
     for j in range(max_power // 2):
         coeffs.append(scale * a.coefficient(-2 - 2 * j) * taylor)
         taylor *= -(math.pi**2) / ((2 * j + 2) * (2 * j + 3))
-    return tuple(coeffs)
+    size = max(map(abs, coeffs))
+    residual = max(abs(c.imag) for c in coeffs) / size if size else 0.0
+    return tuple(c.real for c in coeffs), residual
 
 
 # Bounded, because callers that load a fresh space per request would
 # otherwise grow the cache for the life of the process.
 @lru_cache(maxsize=256)
-def _compile(
-    mu: Fraction, coefficients: tuple[tuple[int, complex], ...]
-) -> _BranchPolynomials:
+def _compile(mu: Fraction, coefficients: tuple[tuple[int, complex], ...]) -> _BranchPolynomials:
     """Both branch polynomials of a component, keyed by its exact content."""
     max_power = max(k for k, _ in coefficients)
-    kernel = mul(
-        bose_kernel(max_power - 2), from_coefficients({-k: c for k, c in coefficients})
-    )
+    kernel = mul(bose_kernel(max_power - 2), from_coefficients({-k: c for k, c in coefficients}))
     half = 0.5 if mu in (0, 1) else 1.0
-    return _BranchPolynomials(
-        mu=float(mu),
-        below=_odd_coefficients(kernel, float(mu), -_PREFACTOR * half, max_power),
-        above=_odd_coefficients(kernel, float(mu) + 1.0, _PREFACTOR * half, max_power),
-    )
+    below, r_below = _odd_coefficients(kernel, float(mu), -_PREFACTOR * half, max_power)
+    above, r_above = _odd_coefficients(kernel, float(mu) + 1.0, _PREFACTOR * half, max_power)
+    return _BranchPolynomials(float(mu), below, above, {"below": r_below, "above": r_above})
 
 
 def _branch_polynomials(component: FixedComponent) -> _BranchPolynomials:
     return _compile(component.mu, tuple(component.euler_integral.items()))
 
 
-def _compile_space(space: QHSpace) -> list[tuple[str, _BranchPolynomials]]:
-    return [(comp.label, _branch_polynomials(comp)) for comp in space.components]
-
-
-def _take_real(
-    value: complex, options: EvalOptions, label: str, at: float | CentralElement
-) -> tuple[float, float]:
-    residual = abs(value.imag)
-    if residual > options.imag_tolerance * (1.0 + abs(value.real)):
-        where = at.value if isinstance(at, CentralElement) else f"t={at}"
+def _judged(
+    component: FixedComponent, branches: Sequence[str], options: EvalOptions
+) -> tuple[_BranchPolynomials, float]:
+    """Compiled branches and their largest residual; refuses a non-real branch."""
+    poly = _branch_polynomials(component)
+    branch = max(branches, key=poly.residual.__getitem__)
+    if poly.residual[branch] > options.imag_tolerance:
         raise NonRealDensityError(
-            f"non-real density (check input data): component {label!r} at {where} "
-            f"produced imaginary residual {residual:.3e}"
+            f"non-real density (check input data): component {component.label!r} has "
+            f"relative imaginary residual {poly.residual[branch]:.3e} on its {branch} branch"
         )
-    return value.real, residual
+    return poly, poly.residual[branch]
+
+
+def _compile_interior(
+    components: Iterable[FixedComponent], options: EvalOptions
+) -> tuple[list[tuple[str, _BranchPolynomials]], float]:
+    """Compile and judge each branch an interior point reaches; also the largest residual."""
+    compiled, residual = [], 0.0
+    for comp in components:
+        reach = [b for b, edge in (("below", 0), ("above", 1)) if comp.mu != edge]
+        poly, comp_residual = _judged(comp, reach, options)
+        compiled.append((comp.label, poly))
+        residual = max(residual, comp_residual)
+    return compiled, residual
 
 
 def _select_branch(label: str, mu: float, t: float, options: EvalOptions) -> str:
@@ -189,52 +201,42 @@ def _select_branch(label: str, mu: float, t: float, options: EvalOptions) -> str
 
 
 def _evaluate(
-    compiled: list[tuple[str, _BranchPolynomials]], t: float, options: EvalOptions
+    compiled: list[tuple[str, _BranchPolynomials]], residual: float, t: float, options: EvalOptions
 ) -> DensityResult:
     t = require_interior_alcove(t)
     sin_pi_t = math.sin(math.pi * t)
-    per_component: dict[str, float] = {}
-    max_residual = 0.0
-    for label, poly in compiled:
-        branch = _select_branch(label, poly.mu, t, options)
-        real, residual = _take_real(poly.at(t, branch) / sin_pi_t, options, label, t)
-        per_component[label] = real
-        max_residual = max(max_residual, residual)
-    return DensityResult(
-        t=t,
-        total=math.fsum(per_component.values()),
-        per_component=per_component,
-        max_imag_residual=max_residual,
-    )
+    per_component = {
+        label: poly.at(t, _select_branch(label, poly.mu, t, options)) / sin_pi_t
+        for label, poly in compiled
+    }
+    total = math.fsum(per_component.values())
+    return DensityResult(t=t, total=total, per_component=per_component, max_imag_residual=residual)
 
 
 def component_density(
     component: FixedComponent, t: float, options: EvalOptions = DEFAULT_OPTIONS
 ) -> float:
     """Contribution of one component to the density at exp(t*rho), 0 < t < 1."""
-    compiled = [(component.label, _branch_polynomials(component))]
-    return _evaluate(compiled, t, options).per_component[component.label]
+    result = _evaluate(*_compile_interior([component], options), t, options)
+    return result.per_component[component.label]
 
 
 def density(space: QHSpace, t: float, options: EvalOptions = DEFAULT_OPTIONS) -> DensityResult:
     """Density at exp(t*rho): sum of the per-component contributions."""
-    return _evaluate(_compile_space(space), t, options)
+    return _evaluate(*_compile_interior(space.components, options), t, options)
 
 
 def component_central_density(
-    component: FixedComponent,
-    which: CentralElement,
-    options: EvalOptions = DEFAULT_OPTIONS,
+    component: FixedComponent, which: CentralElement, options: EvalOptions = DEFAULT_OPTIONS
 ) -> float:
     """One component's contribution to the density at a central element.
 
     Valid only when the central element is a regular value of the moment
     map; this hypothesis cannot be checked from localization data.
     """
-    poly = _branch_polynomials(component)
-    linear = poly.below[0] if which is CentralElement.IDENTITY else poly.above[0]
-    real, _ = _take_real(linear / math.pi, options, component.label, which)
-    return real
+    branch = "below" if which is CentralElement.IDENTITY else "above"
+    poly, _ = _judged(component, [branch], options)
+    return getattr(poly, branch)[0] / math.pi
 
 
 def central_density(
@@ -252,9 +254,7 @@ def interior_volume(space: QHSpace, t: float, density_value: float) -> float:
 
 
 def reduced_volume(
-    space: QHSpace,
-    at: float | CentralElement,
-    options: EvalOptions = DEFAULT_OPTIONS,
+    space: QHSpace, at: float | CentralElement, options: EvalOptions = DEFAULT_OPTIONS
 ) -> float:
     """Symplectic volume of the reduced space at exp(t*rho) or at +-e."""
     if isinstance(at, CentralElement):
@@ -285,18 +285,18 @@ def scan(
 ) -> list[ScanPoint]:
     """Evaluate density and volume over a grid, collecting per-point errors.
 
-    With ``fail_fast`` false (the default) wall hits and numeric failures are
-    recorded in the returned rows instead of aborting the scan; grid order is
-    preserved.
+    With ``fail_fast`` false (the default) wall hits and points outside the
+    alcove become error rows instead of aborting the scan; grid order is
+    preserved.  Non-real data raise ``NonRealDensityError`` before any point.
     """
-    compiled = _compile_space(space)
+    compiled, residual = _compile_interior(space.components, options)
     points: list[ScanPoint] = []
     for t in t_grid:
         try:
-            result = _evaluate(compiled, t, options)
+            result = _evaluate(compiled, residual, t, options)
             volume = interior_volume(space, result.t, result.total)
             points.append(ScanPoint(t=result.t, result=result, volume=volume))
-        except (WallError, NonRealDensityError, AlcoveRangeError) as exc:
+        except (WallError, AlcoveRangeError) as exc:
             if fail_fast:
                 raise
             points.append(ScanPoint(t=float(t), result=None, volume=None, error=str(exc)))

@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import strategies as st
 
 from su2dh.model import FixedComponent, QHSpace
 
@@ -43,6 +44,36 @@ def interior_t_avoiding_walls(rng: random.Random, space: QHSpace) -> float:
         t = rng.uniform(0.08, 0.92)
         if all(abs(t - w) > 0.02 for w in walls):
             return t
+
+
+@st.composite
+def symmetric_components(draw) -> FixedComponent:
+    """Reflection-symmetric component: mu at fortieths, powers 2-11, wide magnitudes."""
+    mu = Fraction(draw(st.integers(0, 40)), 40)
+    powers = range(2, 12, 2) if mu in (0, 1) else range(2, 12)
+    chosen = draw(st.sets(st.sampled_from(powers), min_size=1, max_size=4))
+    values = st.floats(-1e6, 1e6, allow_nan=False)
+    coeffs = {
+        k: complex(draw(values), 0.0) if k % 2 == 0 else complex(0.0, draw(values))
+        for k in sorted(chosen)
+    }
+    return FixedComponent("c", mu, coeffs)
+
+
+@st.composite
+def odd_real_components(draw) -> FixedComponent:
+    """Interior component with a real odd-power coefficient of size 1e-30 to 1.
+
+    It may also carry one real even-power coefficient, at most as large.
+    """
+    mu = Fraction(draw(st.integers(1, 39)), 40)
+    scale = 10.0 ** draw(st.floats(-30.0, 0.0))
+    odd = draw(st.sampled_from([3, 5, 7, 9, 11]))
+    coeffs = {odd: complex(draw(st.sampled_from([-scale, scale])), 0.0)}
+    even = draw(st.sampled_from([None, 2, 4, 6, 8, 10]))
+    if even is not None:
+        coeffs[even] = complex(scale * draw(st.floats(-1.0, 1.0)), 0.0)
+    return FixedComponent("c", mu, coeffs)
 
 
 @pytest.fixture

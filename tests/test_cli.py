@@ -10,8 +10,11 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
 
 import su2dh
+from su2dh.model import QHSpace, save_space
+from conftest import odd_real_components
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -25,15 +28,24 @@ _CHILD_ENV = dict(
 
 
 def run_cli(
-    *args: str, expect: int = 0, env: dict[str, str] | None = None, input: str | None = None
+    *args: str,
+    expect: int = 0,
+    env: dict[str, str] | None = None,
+    input: str | None = None,
+    timeout: float = 120.0,
 ):
-    """Run ``python -m su2dh`` with extra environment variables and standard input."""
+    """Run ``python -m su2dh`` with extra environment variables and standard input.
+
+    A child still running after ``timeout`` seconds is killed, and the test
+    fails with ``subprocess.TimeoutExpired`` instead of stalling the suite.
+    """
     proc = subprocess.run(
         [sys.executable, "-m", "su2dh", *args],
         capture_output=True,
         text=True,
         input=input,
         env={**_CHILD_ENV, **(env or {})},
+        timeout=timeout,
     )
     assert proc.returncode == expect, proc.stderr
     return proc
@@ -204,6 +216,49 @@ class TestEval:
         proc = run_cli("eval", "--builtin", "s4", "--t", "0.3", *flags, expect=2)
         assert proc.stdout == "" and message in proc.stderr
 
+    @pytest.mark.parametrize(
+        "step, count", [("1e-300", "8e+299"), ("1e-7", "8e+06")]
+    )
+    def test_grid_point_count_is_bounded(self, step, count):
+        # refused before any point is built, so the child returns at once
+        proc = run_cli(
+            "eval", "--builtin", "s4", "--grid", f"0.1:0.9:{step}", expect=2, timeout=10.0
+        )
+        assert proc.stdout == ""
+        assert f"has about {count} points; the limit is 1000000" in proc.stderr
+
+    def test_non_real_space_is_refused(self):
+        # a real odd power makes the data non-real however small it is;
+        # no row is printed, not even the points where the value looks plausible
+        doc = {
+            "name": "odd",
+            "stabilizer_order": 1,
+            "components": [
+                {
+                    "label": "c",
+                    "mu": "3/10",
+                    "coefficients": [
+                        {"power": 2, "re": 1e-30, "im": 0.0},
+                        {"power": 3, "re": 1e-30, "im": 0.0},
+                    ],
+                }
+            ],
+        }
+        proc = run_cli(
+            "eval", "--space", "/dev/stdin", "--grid", "0.2:0.8:0.2", expect=3,
+            input=json.dumps(doc),
+        )
+        assert proc.stdout == "" and "non-real density" in proc.stderr
+
+    @settings(max_examples=5, deadline=None)
+    @given(odd_real_components())
+    def test_real_odd_power_is_refused_at_any_scale(self, comp):
+        proc = run_cli(
+            "eval", "--space", "/dev/stdin", "--grid", "0.1:0.9:0.1", expect=3,
+            input=save_space(QHSpace("odd", (comp,), 1)),
+        )
+        assert proc.stdout == "" and "non-real density" in proc.stderr
+
     def test_infinite_imag_tol_rejected(self):
         # an infinite tolerance would accept any imaginary residual
         for args in (("eval", "--t", "0.3"), ("central", "--at", "e")):
@@ -344,6 +399,20 @@ class TestParser:
     def test_unknown_builtin(self):
         proc = run_cli("eval", "--builtin", "torus", "--t", "0.5", expect=2)
         assert "unknown builtin" in proc.stderr
+
+    @pytest.mark.parametrize(
+        "args, flag",
+        [
+            (("eval", "--builtin", "s4", "--t", "0.3", "--imag-tol", "inf"), "--imag-tol"),
+            (("central", "--builtin", "s4", "--at", "e", "--imag-tol", "inf"), "--imag-tol"),
+            (("eval", "--builtin", "s4", "--t", "0.3", "--mode", "fourier", "--terms", "0"),
+             "--terms"),
+            (("lemma", "--coeff", "2:nan", "--gamma", "1"), "--coeff"),
+        ],
+    )
+    def test_library_rules_name_the_flag(self, args, flag):
+        proc = run_cli(*args, expect=2)
+        assert proc.stdout == "" and f"error: {flag}: " in proc.stderr
 
 
 class TestGolden:

@@ -183,6 +183,24 @@ class TestReconstruction:
             value = reconstruct_density(make_s4(), 0.5, method, convergence_tol=1e-18)
             assert value == reconstruct_density(make_s4(), 0.5, method)
 
+    def test_abel_at_a_wall_is_the_midpoint_of_the_limits(self):
+        # the character series of a jump converges to the mean of its two
+        # sides; walled.json at t = 1/2: 3.23849 against 3.23930, jump 6.98
+        from pathlib import Path
+
+        from su2dh.model import load_space
+        from su2dh.residue import EvalOptions, WallPolicy
+
+        text = (Path(__file__).parent / "golden" / "walled.json").read_text()
+        space = load_space(text)
+        left, right = (
+            density(space, 0.5, EvalOptions(wall_policy=policy)).total
+            for policy in (WallPolicy.LEFT_LIMIT, WallPolicy.RIGHT_LIMIT)
+        )
+        value = reconstruct_density(space, 0.5, SummationMethod())
+        assert abs(value - (left + right) / 2) <= 1e-3 * abs(right - left)
+        assert abs(right - left) > 6.0
+
     def test_divergent_richardson_levels_are_flagged(self):
         # an implausibly tight target makes the level disagreement visible
         from su2dh.fourier import SummationError

@@ -4,6 +4,7 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
 
 from su2dh.extrapolation import extrapolate_to_zero
 from su2dh.model import AlcoveRangeError, FixedComponent, QHSpace
@@ -24,7 +25,12 @@ from su2dh.residue import (
 )
 from su2dh.series import bose_kernel, exp_linear, from_coefficients, mul, residue, shift, sin_linear
 from su2dh.spaces import make_product_space, make_s4, product_closed_form
-from conftest import interior_t_avoiding_walls, make_random_space
+from conftest import (
+    interior_t_avoiding_walls,
+    make_random_space,
+    odd_real_components,
+    symmetric_components,
+)
 
 SQRT2 = math.sqrt(2.0)
 GRID = [i / 20 for i in range(1, 20)]
@@ -103,6 +109,25 @@ class TestDensity:
         space = QHSpace("bad", (FixedComponent("c", Fraction(3, 10), {3: 1.0}),), 1)
         with pytest.raises(NonRealDensityError, match="non-real density"):
             density(space, 0.6)
+
+    @pytest.mark.parametrize("coeffs", [{2: 1e-30, 3: 1e-30}, {3: 1e-12}])
+    def test_tiny_non_real_data_is_flagged(self, coeffs):
+        # the residual is relative to the size of the coefficients, so a
+        # non-real space is refused however small its density is
+        space = QHSpace("bad", (FixedComponent("c", Fraction(3, 10), coeffs),), 1)
+        with pytest.raises(NonRealDensityError, match="non-real density"):
+            density(space, 0.6)
+        with pytest.raises(NonRealDensityError, match="non-real density"):
+            scan(space, [0.2, 0.4, 0.6, 0.8])
+
+    def test_central_value_reads_only_its_branch(self):
+        # {3: 1.0} at mu = 0: the above branch is annihilated by parity and
+        # is all an interior point reaches; +e reads the non-real below branch
+        comp = FixedComponent("c", Fraction(0), {3: 1.0})
+        assert component_density(comp, 0.3) == 0.0
+        assert component_central_density(comp, CentralElement.MINUS_IDENTITY) == 0.0
+        with pytest.raises(NonRealDensityError, match="below branch"):
+            component_central_density(comp, CentralElement.IDENTITY)
 
     def test_central_odd_power_is_annihilated_by_parity(self):
         # on a central component the kernel is even in z, so an odd power
@@ -351,6 +376,22 @@ class TestScan:
     def test_fail_fast(self):
         with pytest.raises(WallError):
             scan(TestWalls.WALL_SPACE, [0.5], fail_fast=True)
+
+
+class TestRealnessProperties:
+    @settings(max_examples=300, deadline=None)
+    @given(symmetric_components())
+    def test_symmetric_data_compile_to_exactly_real_branches(self, comp):
+        assert _branch_polynomials(comp).residual == {"below": 0.0, "above": 0.0}
+
+    @settings(max_examples=200, deadline=None)
+    @given(odd_real_components())
+    def test_real_odd_power_is_refused_at_any_scale(self, comp):
+        space = QHSpace("odd", (comp,), 1)
+        with pytest.raises(NonRealDensityError, match="non-real density"):
+            density(space, 0.37)
+        with pytest.raises(NonRealDensityError, match="non-real density"):
+            scan(space, [0.1, 0.37, 0.9])
 
 
 class TestOptions:
