@@ -245,7 +245,7 @@ def _cmd_eval(args: argparse.Namespace) -> int:
     json_rows: list[dict[str, Any]] = []
     if args.mode == "fourier":
         for t in grid:
-            value = reconstruct_density(space, t, method)
+            value = reconstruct_density(space, t, method, options=options)
             rows.append([_fmt(x) for x in (t, value, interior_volume(space, t, value))])
             json_rows.append(_json_row(header, rows[-1]))
     else:
@@ -260,7 +260,7 @@ def _cmd_eval(args: argparse.Namespace) -> int:
             values = [result.t, result.total, point.volume]
             values += [result.per_component[c.label] for c in space.components]
             if args.mode == "both":
-                fourier_value = reconstruct_density(space, result.t, method)
+                fourier_value = reconstruct_density(space, result.t, method, options=options)
                 values += [fourier_value, abs(result.total - fourier_value)]
             rows.append([_fmt(x) for x in values])
             json_rows.append(_json_row(header, rows[-1]))

@@ -18,6 +18,17 @@ with chi_n(exp(t*rho)) = sin(pi*(n+1)*t)/sin(pi*t) from the Weyl character
 formula (characters are real, so no conjugation is needed).  Both dim V_n and
 chi_n are computed from these formulas, never tabulated.
 
+The coefficients do not depend on t.  `reconstruct_density` keeps those for
+n < terms in a cache keyed by content (each component's mu and coefficients,
+and the term count), so the calls of a grid, or of both paths on one space,
+compute them once.  The cache holds at most 4 read-only entries of 16 bytes
+per term, 160 KB each at the default 10,000 terms.  Each entry also holds the
+relative imaginary residual max_n |Im c_n| / max_n |c_n|; reflection-symmetric
+data give about 1e-15, and a residual above `EvalOptions.imag_tolerance` is
+refused with `NonRealDensityError`, as the residue path refuses a branch.
+Only the characters and the damped sums are computed per point, so a call on
+a warm cache gives the same value, to the bit, as one on a cold cache.
+
 For minimal-codimension data (coefficients starting at z^{-2}) the series is
 only conditionally convergent, so summation methods are provided: plain
 partial sums, Abel damping r^n with Richardson extrapolation in 1 - r
@@ -40,6 +51,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import lru_cache
 from typing import Callable
 
@@ -48,6 +60,7 @@ import numpy as np
 from .expsum import RationalPoleFunction
 from .extrapolation import abel_ladder, extrapolate_to_zero
 from .model import VOL_G, VOL_T, QHSpace, require_interior_alcove
+from .residue import DEFAULT_OPTIONS, EvalOptions, NonRealDensityError
 
 _RECONSTRUCTION_FACTOR = 2.0 * math.pi / VOL_T
 
@@ -90,29 +103,52 @@ class SummationMethod:
                 raise ValueError(f"abel_r values must lie in (0, 1), got {r!r}")
 
 
-def _localization_terms(space: QHSpace, weights: np.ndarray) -> np.ndarray:
+_Family = tuple[tuple[Fraction, tuple[tuple[int, complex], ...]], ...]
+
+
+def _family(space: QHSpace) -> _Family:
+    """The space's localization content: each component's mu and coefficients."""
+    return tuple((comp.mu, tuple(comp.euler_integral.items())) for comp in space.components)
+
+
+def _localization_terms(family: _Family, weights: np.ndarray) -> np.ndarray:
     """Coefficients <density, chi_n> for n + 1 = weights (a float array).
 
     The Weyl partner F' of a non-central component has mu_{F'} = -mu_F and
-    I_{F'}(z) = I_F(-z), so it is the same pole function evaluated at -w.
+    I_{F'}(z) = I_F(-z), so it is the same pole function evaluated at -w,
+    with the conjugate phase.
     """
     total = np.zeros(weights.shape, dtype=complex)
-    for comp in space.components:
-        f = RationalPoleFunction(comp.euler_integral)
-        mu = float(comp.mu)
-        value = f(weights)
-        total += weights * value * np.exp(1j * math.pi * mu * weights)
-        if not comp.central:
-            value = f(-weights)
-            total += weights * value * np.exp(-1j * math.pi * mu * weights)
+    for mu, coefficients in family:
+        f = RationalPoleFunction(dict(coefficients))
+        phase = np.exp(1j * math.pi * float(mu) * weights)
+        total += weights * f(weights) * phase
+        if mu not in (0, 1):
+            total += weights * f(-weights) * np.conj(phase)
     return total
+
+
+# Bounded, because callers that load a fresh space per request would
+# otherwise grow the cache for the life of the process.  An entry holds
+# 16 bytes per term: 160 KB at the default 10,000 terms.
+@lru_cache(maxsize=4)
+def _coefficients(family: _Family, terms: int) -> tuple[np.ndarray, float]:
+    """Read-only <density, chi_n> for n < terms, keyed by content; and their realness.
+
+    The second value is max_n |Im c_n| / max_n |c_n| (0 if all vanish).
+    """
+    values = _localization_terms(family, np.arange(1, terms + 1, dtype=float))
+    values.flags.writeable = False
+    size = np.max(np.abs(values))
+    residual = float(np.max(np.abs(values.imag)) / size) if size else 0.0
+    return values, residual
 
 
 def fourier_coefficient(space: QHSpace, n: int) -> complex:
     """Localization value of <density, chi_n> for one n >= 0."""
     if not isinstance(n, int) or isinstance(n, bool) or n < 0:
         raise ValueError("n must be an integer >= 0")
-    value = _localization_terms(space, np.array([float(n + 1)]))
+    value = _localization_terms(_family(space), np.array([float(n + 1)]))
     return complex(value[0])
 
 
@@ -121,8 +157,16 @@ def reconstruct_density(
     t: float,
     method: SummationMethod = SummationMethod(),
     convergence_tol: float | None = None,
+    options: EvalOptions = DEFAULT_OPTIONS,
 ) -> float:
     """Sum the character series for the density at exp(t*rho), 0 < t < 1.
+
+    The coefficients <density, chi_n>, n < ``method.terms``, do not depend
+    on ``t``; they come from a cache keyed by the space's content, so a grid
+    of calls on one space computes them once.  Their relative imaginary
+    residual max_n |Im c_n| / max_n |c_n| is judged against
+    ``options.imag_tolerance`` (the wall policy plays no part here), and
+    :class:`NonRealDensityError` is raised above it.
 
     With ``convergence_tol`` set, Abel extrapolation raises
     :class:`SummationError` when the last two Richardson levels disagree by
@@ -130,8 +174,13 @@ def reconstruct_density(
     """
     t = require_interior_alcove(t)
     n_terms = method.terms
+    coefficients, residual = _coefficients(_family(space), n_terms)
+    if residual > options.imag_tolerance:
+        raise NonRealDensityError(
+            f"non-real density (check input data): space {space.name!r} has Fourier "
+            f"coefficients with relative imaginary residual {residual:.3e}"
+        )
     weights = np.arange(1, n_terms + 1, dtype=float)  # n + 1
-    coefficients = _localization_terms(space, weights)
     characters = np.sin(math.pi * t * weights) / math.sin(math.pi * t)
     base_terms = coefficients * characters
 

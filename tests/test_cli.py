@@ -7,13 +7,14 @@ import math
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 
 import su2dh
-from su2dh.model import QHSpace, save_space
+from su2dh.model import FixedComponent, QHSpace, save_space
 from conftest import odd_real_components
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -247,6 +248,15 @@ class TestEval:
         proc = run_cli(
             "eval", "--space", "/dev/stdin", "--grid", "0.2:0.8:0.2", expect=3,
             input=json.dumps(doc),
+        )
+        assert proc.stdout == "" and "non-real density" in proc.stderr
+
+    def test_non_real_space_is_refused_by_the_fourier_path(self):
+        # the Fourier path judges its own coefficients, so it refuses the same data
+        odd = FixedComponent("c", Fraction(3, 10), {2: 1e-30, 3: 1e-30})
+        proc = run_cli(
+            "eval", "--space", "/dev/stdin", "--t", "0.4", "--mode", "fourier", expect=3,
+            input=save_space(QHSpace("odd", (odd,), 1)),
         )
         assert proc.stdout == "" and "non-real density" in proc.stderr
 

@@ -2,9 +2,12 @@
 
 import cmath
 import math
+import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from su2dh import fourier
 from su2dh.extrapolation import abel_ladder
 from su2dh.fourier import (
     QuadratureRule,
@@ -13,10 +16,10 @@ from su2dh.fourier import (
     fourier_coefficient,
     reconstruct_density,
 )
-from su2dh.model import AlcoveRangeError, FixedComponent, QHSpace
-from su2dh.residue import density
+from su2dh.model import AlcoveRangeError, FixedComponent, QHSpace, load_space, save_space
+from su2dh.residue import EvalOptions, NonRealDensityError, density
 from su2dh.spaces import make_product_space, make_s4
-from conftest import make_random_space
+from conftest import interior_t_avoiding_walls, make_random_space
 from fractions import Fraction
 
 SQRT2 = math.sqrt(2.0)
@@ -208,6 +211,72 @@ class TestReconstruction:
         method = SummationMethod(kind="abel", terms=2000, abel_r=(0.9, 0.8, 0.6))
         with pytest.raises(SummationError, match="disagree"):
             reconstruct_density(make_s4(), 0.5, method, convergence_tol=1e-18)
+
+    def test_non_real_data_are_refused(self):
+        # a real odd power makes the data non-real at any scale; the
+        # coefficients' relative imaginary residual is 0.81 here
+        odd = QHSpace("odd", (FixedComponent("c", Fraction(3, 10), {2: 1e-30, 3: 1e-30}),), 1)
+        with pytest.raises(NonRealDensityError, match="Fourier coefficients"):
+            reconstruct_density(odd, 0.4)
+        loose = EvalOptions(imag_tolerance=1.0)
+        assert math.isfinite(reconstruct_density(odd, 0.4, options=loose))
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(0, 2**32 - 1).map(random.Random))
+    def test_agrees_with_the_residue_path_off_walls(self, rand):
+        # the dual-path benchmark gate, at points 0.02 or more from every wall
+        space = make_random_space(rand)
+        t = interior_t_avoiding_walls(rand, space)
+        assert abs(reconstruct_density(space, t) - density(space, t).total) <= 1e-3
+
+
+class TestCoefficientCache:
+    METHOD = SummationMethod(terms=2000)
+
+    def setup_method(self):
+        fourier._coefficients.cache_clear()
+
+    def test_equal_spaces_share_an_entry(self, rng):
+        text = save_space(make_random_space(rng))
+        first, second = load_space(text), load_space(text)
+        assert first is not second
+        reconstruct_density(first, 0.41, self.METHOD)
+        reconstruct_density(second, 0.63, self.METHOD)
+        info = fourier._coefficients.cache_info()
+        assert (info.hits, info.misses, info.currsize) == (1, 1, 1)
+
+    def test_cache_is_bounded(self, rng):
+        for _ in range(20):
+            reconstruct_density(make_random_space(rng), 0.37, self.METHOD)
+        info = fourier._coefficients.cache_info()
+        assert info.misses == 20
+        assert info.currsize <= info.maxsize <= 8
+
+    def test_terms_are_part_of_the_key(self):
+        for terms in (1000, 2000, 1000):
+            reconstruct_density(make_s4(), 0.37, SummationMethod(terms=terms))
+        info = fourier._coefficients.cache_info()
+        assert (info.hits, info.misses, info.currsize) == (1, 2, 2)
+
+    def test_cached_arrays_are_read_only(self):
+        reconstruct_density(make_s4(), 0.37, self.METHOD)
+        values, _ = fourier._coefficients(fourier._family(make_s4()), self.METHOD.terms)
+        assert fourier._coefficients.cache_info().hits == 1
+        with pytest.raises(ValueError):
+            values[0] = 0.0
+
+    def test_warm_values_equal_cold_values_bit_for_bit(self, rng):
+        space = make_random_space(rng)
+        for method in (
+            SummationMethod(kind="partial", terms=3000),
+            SummationMethod(kind="abel"),
+            SummationMethod(kind="cesaro"),
+        ):
+            reconstruct_density(space, 0.21, method)
+            warm = reconstruct_density(space, 0.58, method)
+            fourier._coefficients.cache_clear()
+            cold = reconstruct_density(space, 0.58, method)
+            assert warm.hex() == cold.hex()
 
 
 class TestQuadrature:
