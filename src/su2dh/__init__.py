@@ -3,9 +3,11 @@
 Computes the density of the pushforward of the Liouville measure under a
 group-valued moment map, and the symplectic volumes of the reduced spaces,
 from fixed-point localization data.  Two independent evaluation paths are
-provided (residues of truncated Laurent series, and accelerated summation of
-the localization Fourier series), plus a standalone exponential-sum/residue
-identity checker.
+provided (residues in closed form from exact Bernoulli values, and
+accelerated summation of the localization Fourier series), plus a standalone
+exponential-sum/residue identity checker.  The truncated-Laurent-series
+engine (`su2dh.series`) is kept as a reference for the tests; no evaluation
+path uses it.
 """
 
 from .expsum import (
@@ -38,6 +40,7 @@ from .model import (
 )
 from .residue import (
     CentralElement,
+    DensityOverflowError,
     EvalOptions,
     NonRealDensityError,
     ScanPoint,
@@ -64,6 +67,7 @@ __version__ = "0.1.0"
 __all__ = [
     "AlcoveRangeError",
     "CentralElement",
+    "DensityOverflowError",
     "DensityResult",
     "EvalOptions",
     "FixedComponent",

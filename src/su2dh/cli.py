@@ -30,6 +30,7 @@ from .fourier import QuadratureError, SummationError, SummationMethod, reconstru
 from .model import SpaceFormatError, load_space, require_interior_alcove
 from .residue import (
     CentralElement,
+    DensityOverflowError,
     EvalOptions,
     NonRealDensityError,
     WallError,
@@ -51,7 +52,9 @@ _WALL_POLICIES = {
     "right": WallPolicy.RIGHT_LIMIT,
 }
 
-_NUMERIC_ERRORS = (WallError, NonRealDensityError, SummationError, QuadratureError)
+_NUMERIC_ERRORS = (
+    WallError, NonRealDensityError, DensityOverflowError, SummationError, QuadratureError
+)
 
 # Each point of a grid costs one Fraction and one float before any
 # evaluation, so a tiny step must be refused rather than enumerated.

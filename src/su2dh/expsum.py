@@ -8,11 +8,15 @@ Abel-summed two-sided series into a single residue at the origin:
         sum_{m != 0} e^{i*m*gamma} f(m)
             = -2*pi*i * Res_0[ f(z) e^{i*gamma*z} / (e^{2*pi*i*z} - 1) ]
 
-For -2*pi < gamma < 0 the substitution m -> -m turns the sum into the one
-for f(-z), whose coefficients are (-1)^k a_k, at the phase -gamma > 0, so one
-kernel serves both ranges.  The reflected kernel 1/(1 - e^{-2*pi*i*z}) is
--1/(e^{-2*pi*i*z} - 1), so each term of its residue differs from the term
-computed here only in sign, and the value is the same to the bit.
+The kernel is the Bernoulli generating function u e^{x*u}/(e^u - 1) =
+sum_n B_n(x) u^n/n! (DLMF 24.2.3) at u = 2*pi*i*z, x = gamma/(2*pi), so
+
+    sum_{m != 0} e^{i*m*gamma} f(m) = sum_k -a_k (2*pi*i)^k / k! * B_k(x),
+
+with each (2*pi)^k B_k(x) / k! an exact rational (`bernoulli_values`, 2*pi
+to 30 decimals) rounded once.  For -2*pi < gamma < 0 the substitution
+m -> -m turns the sum into the one for f(-z), whose coefficients are
+(-1)^k a_k, at the phase -gamma > 0.
 
 The intervals are strictly open: at gamma in {-2*pi, 0, 2*pi} the series
 changes regime (for k = 1 it diverges), so no analytic continuation across
@@ -20,7 +24,8 @@ the endpoints is attempted.
 
 This module is both a standalone utility and the backbone consistency check
 for the density evaluator: the density formulas are exactly two instances of
-this identity with gamma = pi*(t + mu) and gamma = pi*(mu - t).
+this identity with gamma = pi*(t + mu) and gamma = pi*(mu - t), and
+`su2dh.residue` compiles its chamber polynomials from `bernoulli_values` too.
 
 `RationalPoleFunction` is the package's one evaluator of sum_k a_k x^{-k};
 the Fourier path calls it too.  A direct summation oracle is included.  It
@@ -38,14 +43,19 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Mapping
 
 import numpy as np
 
 from .extrapolation import abel_ladder, extrapolate_to_zero
-from .series import bose_kernel, exp_linear, from_coefficients, mul, residue
 
 _TWO_PI = 2.0 * math.pi
+# 2*pi to 30 decimals.  Near a root of B_k, B_k(x) magnifies an error in x,
+# so x = gamma/(2*pi) is rounded to a multiple of 2^-64, far finer than a
+# float quotient, with a denominator that keeps `bernoulli_values` fast.
+_TWO_PI_EXACT = 2 * Fraction("3.141592653589793238462643383280")
+_X_GRID = 2**64
 
 
 class GammaRangeError(ValueError):
@@ -100,19 +110,43 @@ def _check_gamma(gamma: float) -> float:
     return gamma
 
 
+def bernoulli_values(x: Fraction, high: int) -> list[Fraction]:
+    """The Bernoulli polynomial values B_0(x), ..., B_high(x), exactly.
+
+    They follow from sum_{j<=n} C(n+1, j) B_j(x) = (n+1) x^n.  With x = p/q
+    and D = lcm(1, ..., high + 1), each e_n = D q^n B_n(x) is an integer (by
+    von Staudt-Clausen the denominator of B_j divides lcm(1, ..., j + 1)), so
+    the recurrence runs in integers, every division by n + 1 exact:
+
+        e_n = D p^n - sum_{j<n} C(n+1, j) q^(n-j) e_j / (n+1),
+
+    with the sum taken by Horner's rule in q.
+    """
+    p, q = x.numerator, x.denominator
+    scale = math.lcm(*range(1, high + 2))
+    scaled: list[int] = []
+    for n in range(high + 1):
+        tail = 0
+        for j, e in enumerate(scaled):
+            tail = (tail + math.comb(n + 1, j) * e) * q
+        scaled.append(scale * p**n - tail // (n + 1))
+    return [Fraction(e, scale * q**n) for n, e in enumerate(scaled)]
+
+
 def exp_sum_residue(f: RationalPoleFunction, gamma: float) -> complex:
-    """Value of sum_{m != 0} e^{i*m*gamma} f(m) via a single residue at 0."""
+    """Value of sum_{m != 0} e^{i*m*gamma} f(m), in closed form from B_k(gamma/(2*pi))."""
     gamma = _check_gamma(gamma)
     coeffs = f.coeffs
     if gamma < 0:
         # m -> -m: the sum for f(-z) at -gamma
         coeffs = {k: -a if k % 2 else a for k, a in coeffs.items()}
         gamma = -gamma
-    # the residue pairs z^-k of f with z^(k-1) of the rest, so k <= max_order suffices
-    high = f.max_order
-    pole_part = from_coefficients({-k: a for k, a in coeffs.items()})
-    product = mul(mul(exp_linear(1j * gamma, high), bose_kernel(high)), pole_part)
-    return -2j * math.pi * residue(product)
+    x = Fraction(round(Fraction(gamma) / _TWO_PI_EXACT * _X_GRID), _X_GRID)
+    bernoulli = bernoulli_values(x, f.max_order)
+    return sum(
+        -a * 1j ** (k % 4) * float(_TWO_PI_EXACT**k * bernoulli[k] / math.factorial(k))
+        for k, a in coeffs.items()
+    )
 
 
 def _paired_terms(f: RationalPoleFunction, gamma: float, M: int) -> tuple[np.ndarray, np.ndarray]:

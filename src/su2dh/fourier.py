@@ -49,6 +49,7 @@ occurring in this problem class.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -60,7 +61,7 @@ import numpy as np
 from .expsum import RationalPoleFunction
 from .extrapolation import abel_ladder, extrapolate_to_zero
 from .model import VOL_G, VOL_T, QHSpace, require_interior_alcove
-from .residue import DEFAULT_OPTIONS, EvalOptions, NonRealDensityError
+from .residue import DEFAULT_OPTIONS, DensityOverflowError, EvalOptions, NonRealDensityError
 
 _RECONSTRUCTION_FACTOR = 2.0 * math.pi / VOL_T
 
@@ -108,7 +109,7 @@ _Family = tuple[tuple[Fraction, tuple[tuple[int, complex], ...]], ...]
 
 def _family(space: QHSpace) -> _Family:
     """The space's localization content: each component's mu and coefficients."""
-    return tuple((comp.mu, tuple(comp.euler_integral.items())) for comp in space.components)
+    return tuple(comp.content for comp in space.components)
 
 
 def _localization_terms(family: _Family, weights: np.ndarray) -> np.ndarray:
@@ -135,10 +136,14 @@ def _localization_terms(family: _Family, weights: np.ndarray) -> np.ndarray:
 def _coefficients(family: _Family, terms: int) -> tuple[np.ndarray, float]:
     """Read-only <density, chi_n> for n < terms, keyed by content; and their realness.
 
-    The second value is max_n |Im c_n| / max_n |c_n| (0 if all vanish).
+    The second value is max_n |Im c_n| / max_n |c_n| (0 if all vanish, inf
+    if one overflowed).
     """
-    values = _localization_terms(family, np.arange(1, terms + 1, dtype=float))
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is judged below
+        values = _localization_terms(family, np.arange(1, terms + 1, dtype=float))
     values.flags.writeable = False
+    if not np.all(np.isfinite(values)):
+        return values, math.inf
     size = np.max(np.abs(values))
     residual = float(np.max(np.abs(values.imag)) / size) if size else 0.0
     return values, residual
@@ -175,6 +180,10 @@ def reconstruct_density(
     t = require_interior_alcove(t)
     n_terms = method.terms
     coefficients, residual = _coefficients(_family(space), n_terms)
+    if residual == math.inf:
+        raise DensityOverflowError(
+            f"numeric overflow: space {space.name!r} has non-finite Fourier coefficients"
+        )
     if residual > options.imag_tolerance:
         raise NonRealDensityError(
             f"non-real density (check input data): space {space.name!r} has Fourier "
@@ -200,6 +209,8 @@ def reconstruct_density(
         for h, damping in ladder
     ]
     value, last_change = extrapolate_to_zero(samples)
+    if not cmath.isfinite(value):
+        raise DensityOverflowError(f"numeric overflow: Fourier density at t = {t} is not finite")
     if convergence_tol is not None and last_change > 10.0 * convergence_tol:
         raise SummationError(
             f"Abel/Richardson levels disagree by {last_change:.3e}, "

@@ -109,6 +109,11 @@ class FixedComponent:
     def max_power(self) -> int:
         return max(self.euler_integral)
 
+    @property
+    def content(self) -> tuple[Fraction, tuple[tuple[int, complex], ...]]:
+        """``(mu, ((k, c_k), ...))``: all an evaluation reads, and the key its caches use."""
+        return self.mu, tuple(self.euler_integral.items())
+
 
 @dataclass(frozen=True)
 class QHSpace:

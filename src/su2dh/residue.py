@@ -20,13 +20,16 @@ docs/derivation.md.
 Chamber polynomials.  The evaluation point enters only through
 sin(pi*x*z), with x = t below the wall and x = 1 - t above it, whose Taylor
 terms are odd.  So each branch is P(x)/sin(pi*t), with P an odd polynomial
-of degree at most max_power - 1 read off one Laurent series per branch,
-A(z) = z * e^{pi*i*z*mu} (or e^{pi*i*z*(mu+1)}) / (e^{2*pi*i*z} - 1) * sum_k c_k z^{-k}:
+of degree at most max_power - 1.  The kernel z e^{pi*i*w*z}/(e^{2*pi*i*z} - 1),
+w = mu below the wall and mu + 1 above it, is the Bernoulli generating
+function at u = 2*pi*i*z (DLMF 24.2.3), so with n = k - 2 - 2j >= 0
 
-    [x^(2j+1)] P = -+(4*pi^2*i/sqrt(2)) * half * A[-2-2j] * (-1)^j * pi^(2j+1) / (2j+1)!
+    [x^(2j+1)] P = sqrt(2) * sum_k c_k pi^k i^n R,
+    R = -+half * 2^n B_n(w/2) (-1)^j / (n! (2j+1)!),
 
 with the minus sign below the wall and half = 1/2 for central components.
-Each component is compiled into its two polynomials once (cached by
+Each R is an exact rational (`expsum.bernoulli_values`) rounded once, and
+each component is compiled into its two polynomials once (cached by
 content).  A wall's one-sided limit is then the choice of branch, and the
 central values at +e and -e, the t -> 0+ and t -> 1- limits of the two
 branches, are the linear coefficients of P_below and P_above divided by pi.
@@ -42,14 +45,18 @@ order k:
     Vol = k * (2*sin(pi*t)/sqrt(2)) * density       for interior t,
     Vol = k * (2*pi/sqrt(2))        * density       at the central elements.
 
-Data that respect the reflection symmetry give real branch coefficients, so
-a branch keeps their real parts and one relative imaginary residual,
-max_j |Im c_j| / max_j |c_j|.  Realness is judged once per call, on the
-branches the call can reach; every point is then evaluated in real arithmetic.
+Data that respect the reflection symmetry (real c_k at even k, imaginary at
+odd k) give i^n c_k real in every term, so their branch coefficients are
+exactly real.  A branch keeps the real parts and one relative imaginary
+residual, max_j |Im c_j| / max_j |c_j|.  Realness is judged once per call, on
+the branches the call can reach; every point is then evaluated in real
+arithmetic.  A coefficient, density or volume that overflows raises
+`DensityOverflowError`.
 """
 
 from __future__ import annotations
 
+import cmath
 import enum
 import math
 from dataclasses import dataclass
@@ -65,9 +72,7 @@ from .model import (
     QHSpace,
     require_interior_alcove,
 )
-from .series import TruncSeries, bose_kernel, exp_linear, from_coefficients, mul, shift
-
-_PREFACTOR = 4.0 * math.pi**2 * 1j / VOL_T
+from .expsum import bernoulli_values
 
 
 class WallError(ArithmeticError):
@@ -76,6 +81,10 @@ class WallError(ArithmeticError):
 
 class NonRealDensityError(ArithmeticError):
     """Raised when a branch a call reaches has a relative imaginary residual above tolerance."""
+
+
+class DensityOverflowError(ArithmeticError):
+    """Raised when a branch coefficient, density or volume of finite data overflows."""
 
 
 class WallPolicy(enum.Enum):
@@ -109,7 +118,8 @@ class _BranchPolynomials:
     ``below[j]`` is the coefficient of t^(2j+1), valid for t < mu;
     ``above[j]`` is the coefficient of s^(2j+1) with s = 1 - t, valid for
     t > mu.  Both hold real parts, and ``residual`` maps each branch to the
-    relative imaginary residual of its complex coefficients.
+    relative imaginary residual of its complex coefficients, which is at
+    most 1, or inf when one of them overflowed.
     """
 
     mu: float
@@ -127,22 +137,36 @@ class _BranchPolynomials:
         return acc * x
 
 
-def _odd_coefficients(
-    kernel: TruncSeries, weight: float, scale: complex, max_power: int
+def _branch(
+    coefficients: tuple[tuple[int, complex], ...], weight: Fraction, sign: Fraction
 ) -> tuple[tuple[float, ...], float]:
-    """Real coefficients of x^(2j+1) in scale * Res_0[z e^{pi*i*weight*z} kernel sin(pi*x*z)].
+    """Real coefficients of x^(2j+1) on one branch, and their relative imaginary residual.
 
-    Also returns max_j |Im c_j| / max_j |c_j| of the complex ones (0 if all vanish).
+    [x^(2j+1)] P = sqrt(2) * sum_k (c_k pi^k) i^n R with n = k - 2 - 2j and
+    the exact rational R = sign * 2^n B_n(weight/2) (-1)^j / (n! (2j+1)!),
+    rounded once.  The residual is max_j |Im| / max_j |.| (0 if all vanish,
+    inf if one is not finite).
     """
-    a = shift(mul(exp_linear(1j * math.pi * weight, max_power - 2), kernel), 1)
+    max_power = max(k for k, _ in coefficients)
+    bernoulli = bernoulli_values(weight / 2, max_power - 2)
     coeffs = []
-    taylor = math.pi  # (-1)^j pi^(2j+1) / (2j+1)!
     for j in range(max_power // 2):
-        coeffs.append(scale * a.coefficient(-2 - 2 * j) * taylor)
-        taylor *= -(math.pi**2) / ((2 * j + 2) * (2 * j + 3))
-    size = max(map(abs, coeffs))
-    residual = max(abs(c.imag) for c in coeffs) / size if size else 0.0
-    return tuple(c.real for c in coeffs), residual
+        acc = 0j
+        for k, c in coefficients:
+            n = k - 2 - 2 * j
+            if n >= 0:
+                exact = sign * 2**n * bernoulli[n] * (-1) ** j
+                exact /= math.factorial(n) * math.factorial(2 * j + 1)
+                acc += c * math.pi**k * 1j ** (n % 4) * float(exact)
+        coeffs.append(VOL_T * acc)
+    real = tuple(c.real for c in coeffs)
+    if not all(map(cmath.isfinite, coeffs)):
+        return real, math.inf
+    try:
+        size = max(map(abs, coeffs))
+    except OverflowError:  # a finite coefficient whose modulus is beyond the float range
+        return real, math.inf
+    return real, max(abs(c.imag) for c in coeffs) / size if size else 0.0
 
 
 # Bounded, because callers that load a fresh space per request would
@@ -150,24 +174,27 @@ def _odd_coefficients(
 @lru_cache(maxsize=256)
 def _compile(mu: Fraction, coefficients: tuple[tuple[int, complex], ...]) -> _BranchPolynomials:
     """Both branch polynomials of a component, keyed by its exact content."""
-    max_power = max(k for k, _ in coefficients)
-    kernel = mul(bose_kernel(max_power - 2), from_coefficients({-k: c for k, c in coefficients}))
-    half = 0.5 if mu in (0, 1) else 1.0
-    below, r_below = _odd_coefficients(kernel, float(mu), -_PREFACTOR * half, max_power)
-    above, r_above = _odd_coefficients(kernel, float(mu) + 1.0, _PREFACTOR * half, max_power)
+    half = Fraction(1, 2) if mu in (0, 1) else Fraction(1)
+    below, r_below = _branch(coefficients, mu, -half)
+    above, r_above = _branch(coefficients, mu + 1, half)
     return _BranchPolynomials(float(mu), below, above, {"below": r_below, "above": r_above})
 
 
 def _branch_polynomials(component: FixedComponent) -> _BranchPolynomials:
-    return _compile(component.mu, tuple(component.euler_integral.items()))
+    return _compile(*component.content)
 
 
 def _judged(
     component: FixedComponent, branches: Sequence[str], options: EvalOptions
 ) -> tuple[_BranchPolynomials, float]:
-    """Compiled branches and their largest residual; refuses a non-real branch."""
+    """Compiled branches and their largest residual; refuses an overflowed or non-real branch."""
     poly = _branch_polynomials(component)
     branch = max(branches, key=poly.residual.__getitem__)
+    if poly.residual[branch] == math.inf:
+        raise DensityOverflowError(
+            f"numeric overflow: component {component.label!r} has coefficients beyond the "
+            f"float range on its {branch} branch"
+        )
     if poly.residual[branch] > options.imag_tolerance:
         raise NonRealDensityError(
             f"non-real density (check input data): component {component.label!r} has "
@@ -187,6 +214,18 @@ def _compile_interior(
         compiled.append((comp.label, poly))
         residual = max(residual, comp_residual)
     return compiled, residual
+
+
+def _fsum(values: Iterable[float]) -> float:
+    """math.fsum, or NaN where fsum raises: an intermediate overflow, or inf - inf."""
+    try:
+        return math.fsum(values)
+    except (OverflowError, ValueError):
+        return math.nan
+
+
+def _overflow(what: str) -> DensityOverflowError:
+    return DensityOverflowError(f"numeric overflow: {what} is not finite")
 
 
 def _select_branch(label: str, mu: float, t: float, options: EvalOptions) -> str:
@@ -209,7 +248,9 @@ def _evaluate(
         label: poly.at(t, _select_branch(label, poly.mu, t, options)) / sin_pi_t
         for label, poly in compiled
     }
-    total = math.fsum(per_component.values())
+    total = _fsum(per_component.values())
+    if not math.isfinite(total):
+        raise _overflow(f"density at t = {t}")
     return DensityResult(t=t, total=total, per_component=per_component, max_imag_residual=residual)
 
 
@@ -243,14 +284,18 @@ def central_density(
     space: QHSpace, which: CentralElement, options: EvalOptions = DEFAULT_OPTIONS
 ) -> float:
     """Density at the central element +e or -e (caller asserts regularity)."""
-    return math.fsum(
-        component_central_density(comp, which, options) for comp in space.components
-    )
+    total = _fsum([component_central_density(comp, which, options) for comp in space.components])
+    if not math.isfinite(total):
+        raise _overflow(f"density at {which.value}")
+    return total
 
 
 def interior_volume(space: QHSpace, t: float, density_value: float) -> float:
     """Reduced volume k * (2*sin(pi*t)/sqrt(2)) * density at an interior t."""
-    return space.stabilizer_order * (2.0 * math.sin(math.pi * t) / VOL_T) * density_value
+    volume = space.stabilizer_order * (2.0 * math.sin(math.pi * t) / VOL_T) * density_value
+    if not math.isfinite(volume):
+        raise _overflow(f"volume at t = {t}")
+    return volume
 
 
 def reduced_volume(
@@ -258,11 +303,11 @@ def reduced_volume(
 ) -> float:
     """Symplectic volume of the reduced space at exp(t*rho) or at +-e."""
     if isinstance(at, CentralElement):
-        return (
-            space.stabilizer_order
-            * (2.0 * math.pi / VOL_T)
-            * central_density(space, at, options)
-        )
+        density_value = central_density(space, at, options)
+        volume = space.stabilizer_order * (2.0 * math.pi / VOL_T) * density_value
+        if not math.isfinite(volume):
+            raise _overflow(f"volume at {at.value}")
+        return volume
     result = density(space, at, options)
     return interior_volume(space, result.t, result.total)
 

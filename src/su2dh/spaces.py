@@ -9,9 +9,11 @@ Two families are provided:
   reduced volume is 1 - t, matching the classical moduli-volume answer.
 
 `product_closed_form` evaluates the product-space density through an
-independent code path: the same series kernel, but a direct power-series
-coefficient extraction with its own prefactor plumbing, never touching the
-residue evaluator.  It serves as a cross-check oracle.
+independent code path: a direct power-series coefficient extraction on the
+truncated-Laurent-series engine (`su2dh.series`), with its own prefactor
+plumbing.  The residue path computes its coefficients from exact Bernoulli
+values instead, so the two share no code, and this serves as a cross-check
+oracle.
 """
 
 from __future__ import annotations

@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 
+import mpmath
 import pytest
 from hypothesis import strategies as st
 
@@ -79,3 +80,19 @@ def odd_real_components(draw) -> FixedComponent:
 @pytest.fixture
 def rng() -> random.Random:
     return random.Random(20240811)
+
+
+def exp_sum_reference(coeffs: dict[int, complex], gamma: float) -> tuple[complex, float]:
+    """sum_{m != 0} e^{i*m*gamma} f(m) at 50 digits, and the sum of its term sizes.
+
+    Each order k gives -(2*pi*i)^k / k! * B_k(x) with mpmath's Bernoulli
+    polynomial at x = gamma/(2*pi) taken mod 1 (the series is 2*pi-periodic
+    in gamma), so a negative gamma is not reflected as the library does.
+    """
+    with mpmath.workdps(50):
+        x = mpmath.frac(mpmath.mpf(gamma) / (2 * mpmath.pi))
+        terms = [
+            -mpmath.mpc(a) * (2j * mpmath.pi) ** k / mpmath.factorial(k) * mpmath.bernpoly(k, x)
+            for k, a in coeffs.items()
+        ]
+        return complex(mpmath.fsum(terms)), float(mpmath.fsum(abs(term) for term in terms))

@@ -260,6 +260,25 @@ class TestEval:
         )
         assert proc.stdout == "" and "non-real density" in proc.stderr
 
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ("eval", "--t", "0.5", "--mode", "both"),
+            ("eval", "--t", "0.5", "--mode", "fourier"),
+            ("central", "--at", "e"),
+        ],
+    )
+    def test_overflow_is_a_numeric_failure(self, command):
+        # finite data whose densities overflow; `eval --mode both` printed
+        # 0.5,inf,inf,inf,inf,nan,nan with exit 0
+        big = tuple(FixedComponent(label, Fraction(1, 4), {2: 1e308}) for label in "ab")
+        proc = run_cli(
+            command[0], "--space", "/dev/stdin", *command[1:], expect=3,
+            input=save_space(QHSpace("big", big, 1)),
+        )
+        assert proc.stdout == "" and "error: numeric overflow" in proc.stderr
+        assert "Warning" not in proc.stderr
+
     @settings(max_examples=5, deadline=None)
     @given(odd_real_components())
     def test_real_odd_power_is_refused_at_any_scale(self, comp):

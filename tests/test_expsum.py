@@ -1,28 +1,22 @@
 """Exponential-sum/residue identity: classics, oracle agreement, branches."""
 
 import math
+from fractions import Fraction
 
 import pytest
+import sympy
 
 from su2dh.expsum import (
     GammaRangeError,
     RationalPoleFunction,
+    bernoulli_values,
     exp_sum_extrapolated,
     exp_sum_partial,
     exp_sum_residue,
 )
 from su2dh.extrapolation import abel_ladder, extrapolate_to_zero
-from su2dh.series import (
-    add,
-    bose_kernel,
-    exp_linear,
-    from_coefficients,
-    monomial,
-    mul,
-    reciprocal,
-    residue,
-    scale,
-)
+from su2dh.series import add, bose_kernel, exp_linear, monomial, mul, reciprocal, scale
+from conftest import exp_sum_reference
 
 TWO_PI = 2.0 * math.pi
 
@@ -43,6 +37,28 @@ class TestPoleFunction:
     def test_non_finite_coefficient_rejected(self, bad):
         with pytest.raises(ValueError, match="order 3 must be finite"):
             RationalPoleFunction({2: 1.0, 3: bad})
+
+
+class TestBernoulliValues:
+    @pytest.mark.parametrize("x", [Fraction(0), Fraction(1, 2), Fraction(7, 40), Fraction(47, 40),
+                                   Fraction(-3, 7), Fraction(0.3 / TWO_PI)])
+    def test_exact_against_the_binomial_sum(self, x):
+        # B_n(x) = sum_j C(n, j) B_j x^(n-j), with sympy's exact Bernoulli numbers
+        # (sympy >= 1.12 gives B_1 = +1/2; the sum needs B_1 = -1/2)
+        numbers = [Fraction(str(sympy.bernoulli(j))) for j in range(31)]
+        numbers[1] = Fraction(-1, 2)
+        values = bernoulli_values(x, 30)
+        assert len(values) == 31 and all(isinstance(v, Fraction) for v in values)
+        for n, value in enumerate(values):
+            assert value == sum(math.comb(n, j) * numbers[j] * x ** (n - j) for j in range(n + 1))
+
+    def test_reflection_and_difference_identities(self):
+        # B_n(1 - x) = (-1)^n B_n(x) and B_n(x + 1) - B_n(x) = n x^(n-1)
+        x = Fraction(3, 11)
+        low, reflected, shifted = (bernoulli_values(y, 20) for y in (x, 1 - x, x + 1))
+        for n in range(21):
+            assert reflected[n] == (-1) ** n * low[n]
+            assert shifted[n] - low[n] == (n * x ** (n - 1) if n else 0)
 
 
 class TestResidueSide:
@@ -66,23 +82,21 @@ class TestResidueSide:
             assert value == pytest.approx(-1j * (math.pi + gamma), abs=1e-12)
 
     def test_negative_range_matches_reflected_kernel_exactly(self, rng):
-        # gamma < 0 is evaluated as f(-z) at -gamma; that must give the bits of
-        # the residue with the reflected kernel 1/(1 - e^{-2*pi*i*z}) at gamma
+        # gamma < 0 is evaluated as f(-z), coefficients (-1)^k a_k, at -gamma:
+        # the same bits as that call, and within 1e-13 of the sum's terms
+        # of a 50-digit value that takes gamma mod 2*pi instead of reflecting
         for _ in range(300):
             ks = rng.sample(range(1, 9), k=rng.randint(1, 4))
             f = RationalPoleFunction(
                 {k: complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for k in ks}
             )
             gamma = -rng.uniform(1e-3, TWO_PI - 1e-3)
-            high = f.max_order + 4
-            kernel = reciprocal(
-                add(monomial(1.0, 0), scale(-1.0, exp_linear(-2j * math.pi, high + 2)))
-            )
-            pole_part = from_coefficients({-k: a for k, a in f.coeffs.items()})
-            product = mul(mul(exp_linear(1j * gamma, high), kernel), pole_part)
-            expected = -2j * math.pi * residue(product)
+            reflected = RationalPoleFunction({k: (-1) ** k * a for k, a in f.coeffs.items()})
+            expected = exp_sum_residue(reflected, -gamma)
             value = exp_sum_residue(f, gamma)
             assert (value.real, value.imag) == (expected.real, expected.imag)
+            reference, size = exp_sum_reference(f.coeffs, gamma)
+            assert abs(value - reference) <= 1e-13 * size
 
     def test_real_even_data_gives_real_output(self):
         f = RationalPoleFunction({2: 0.7, 4: -0.2})

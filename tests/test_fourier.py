@@ -17,7 +17,7 @@ from su2dh.fourier import (
     reconstruct_density,
 )
 from su2dh.model import AlcoveRangeError, FixedComponent, QHSpace, load_space, save_space
-from su2dh.residue import EvalOptions, NonRealDensityError, density
+from su2dh.residue import DensityOverflowError, EvalOptions, NonRealDensityError, density
 from su2dh.spaces import make_product_space, make_s4
 from conftest import interior_t_avoiding_walls, make_random_space
 from fractions import Fraction
@@ -220,6 +220,16 @@ class TestReconstruction:
             reconstruct_density(odd, 0.4)
         loose = EvalOptions(imag_tolerance=1.0)
         assert math.isfinite(reconstruct_density(odd, 0.4, options=loose))
+
+    def test_overflow_is_refused(self, recwarn):
+        # two {2: 1e308} components overflow the coefficients, whose residual
+        # then read NaN and passed the realness check; one overflows only the sum
+        cases = ((2, "non-finite Fourier coefficients"), (1, "Fourier density at t = 0.5"))
+        for count, match in cases:
+            comps = tuple(FixedComponent(f"c{i}", Fraction(1, 4), {2: 1e308}) for i in range(count))
+            with pytest.raises(DensityOverflowError, match=f"numeric overflow: .*{match}"):
+                reconstruct_density(QHSpace("big", comps, 1), 0.5)
+        assert not recwarn.list
 
     @settings(max_examples=300, deadline=None)
     @given(st.integers(0, 2**32 - 1).map(random.Random))

@@ -10,6 +10,7 @@ from su2dh.extrapolation import extrapolate_to_zero
 from su2dh.model import AlcoveRangeError, FixedComponent, QHSpace
 from su2dh.residue import (
     CentralElement,
+    DensityOverflowError,
     EvalOptions,
     NonRealDensityError,
     WallError,
@@ -392,6 +393,48 @@ class TestRealnessProperties:
             density(space, 0.37)
         with pytest.raises(NonRealDensityError, match="non-real density"):
             scan(space, [0.1, 0.37, 0.9])
+
+
+class TestOverflow:
+    """Finite data whose arithmetic overflows are refused, never returned as inf or nan."""
+
+    @staticmethod
+    def space(coefficient: float, stabilizer_order: int = 1) -> QHSpace:
+        comps = tuple(FixedComponent(label, Fraction(1, 4), {2: coefficient}) for label in "ab")
+        return QHSpace("big", comps, stabilizer_order)
+
+    @pytest.mark.parametrize("coefficient", [1e308, complex(1e307, 1e307)])
+    def test_overflowing_coefficients_are_refused(self, coefficient):
+        # 1e308 * pi^2 overflows while the branches are compiled; for
+        # 1e307 * (1 + i) the coefficients are finite but their modulus is not,
+        # which raised a bare OverflowError from abs()
+        space = self.space(coefficient)
+        for call in (
+            lambda: density(space, 0.5),
+            lambda: scan(space, [0.5]),
+            lambda: central_density(space, CentralElement.IDENTITY),
+            lambda: central_density(space, CentralElement.MINUS_IDENTITY),
+        ):
+            with pytest.raises(DensityOverflowError, match="component 'a' has coefficients beyond"):
+                call()
+
+    def test_overflowing_sum_is_refused(self):
+        # each component is finite, about 1.2e308 at t = 0.3; their sum is not
+        space = self.space(1e307)
+        assert math.isfinite(component_density(space.components[0], 0.3))
+        with pytest.raises(DensityOverflowError, match="density at t = 0.3 is not finite"):
+            density(space, 0.3)
+        with pytest.raises(DensityOverflowError, match="density at t = 0.3 is not finite"):
+            scan(space, [0.3])
+
+    def test_overflowing_volume_is_refused(self):
+        space = QHSpace("big", self.space(1e307).components[:1], 10**300)
+        with pytest.raises(DensityOverflowError, match="volume at t = 0.5 is not finite"):
+            reduced_volume(space, 0.5)
+        with pytest.raises(DensityOverflowError, match="volume at t = 0.5 is not finite"):
+            scan(space, [0.5])
+        with pytest.raises(DensityOverflowError, match="volume at -e is not finite"):
+            reduced_volume(space, CentralElement.MINUS_IDENTITY)
 
 
 class TestOptions:
