@@ -57,7 +57,9 @@ _NUMERIC_ERRORS = (
 )
 
 # Each point of a grid costs one Fraction and one float before any
-# evaluation, so a tiny step must be refused rather than enumerated.
+# evaluation, so a tiny step must be refused rather than enumerated.  The
+# same bound caps --terms and --M, whose arrays would otherwise be allocated
+# at any requested length.
 _MAX_GRID_POINTS = 1_000_000
 
 
@@ -196,8 +198,11 @@ def _emit(
     else:
         text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
     if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="") as handle:
-            handle.write(text)
+        try:
+            with open(args.out, "w", encoding="utf-8", newline="") as handle:
+                handle.write(text)
+        except OSError as exc:
+            raise SpaceFormatError(f"--out: cannot write {args.out!r}: {exc}") from exc
     else:
         sys.stdout.write(text)
 
@@ -222,6 +227,8 @@ def _cmd_eval(args: argparse.Namespace) -> int:
         raise SpaceFormatError("--abel must lie in (0, 1)")
     if args.richardson < 0:
         raise SpaceFormatError("--richardson must be >= 0")
+    if args.terms > _MAX_GRID_POINTS:
+        raise SpaceFormatError(f"--terms must be at most {_MAX_GRID_POINTS}, got {args.terms}")
     # --method is a choice and abel_ladder checks the radii, so only --terms can fail
     method = _from_flag(
         "--terms",
@@ -324,6 +331,8 @@ def _cmd_lemma(args: argparse.Namespace) -> int:
     f = _parse_pole_coefficients(args.coeff)
     if args.M < 1:
         raise SpaceFormatError("--M must be >= 1")
+    if args.M > _MAX_GRID_POINTS:
+        raise SpaceFormatError(f"--M must be at most {_MAX_GRID_POINTS}, got {args.M}")
     if not (0.0 < args.r < 1.0):
         raise SpaceFormatError("--r must lie in (0, 1)")
     if not (math.isfinite(args.tol) and args.tol > 0):

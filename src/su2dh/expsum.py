@@ -36,6 +36,9 @@ damping bias by Richardson extrapolation in 1 - r.  Its ladder
 (`extrapolation.abel_ladder`) increases the damping (r moving away from 1)
 so that the truncation error at M terms stays negligible for every node; the
 undamped terms are computed once and shared by all nodes.
+
+numpy is imported inside the functions that build arrays, not at module
+level, because the residue path and the CLI must start without it.
 """
 
 from __future__ import annotations
@@ -44,11 +47,12 @@ import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping
-
-import numpy as np
+from typing import TYPE_CHECKING, Mapping
 
 from .extrapolation import abel_ladder, extrapolate_to_zero
+
+if TYPE_CHECKING:
+    import numpy as np
 
 _TWO_PI = 2.0 * math.pi
 # 2*pi to 30 decimals.  Near a root of B_k, B_k(x) magnifies an error in x,
@@ -87,6 +91,8 @@ class RationalPoleFunction:
 
     def __call__(self, m):
         """Evaluate at a scalar or numpy array of nonzero reals."""
+        import numpy as np
+
         m = np.asarray(m, dtype=float)
         out = np.zeros(m.shape, dtype=complex)
         inv = 1.0 / m
@@ -153,6 +159,8 @@ def _paired_terms(f: RationalPoleFunction, gamma: float, M: int) -> tuple[np.nda
     """m = 1..M and the undamped terms e^{i*m*gamma} f(m) + e^{-i*m*gamma} f(-m)."""
     if M < 1:
         raise ValueError("M must be >= 1")
+    import numpy as np
+
     m = np.arange(1, M + 1, dtype=float)
     # f's results are bound to names before the products: an inline
     # ``phase * f(m)`` lets numpy reuse f's temporary in place, which rounds
@@ -164,6 +172,8 @@ def _paired_terms(f: RationalPoleFunction, gamma: float, M: int) -> tuple[np.nda
 
 
 def _damped_sum(m: np.ndarray, terms: np.ndarray, damping_r: float) -> complex:
+    import numpy as np
+
     if damping_r != 1.0:
         terms = terms * np.exp(m * math.log(damping_r))
     return complex(np.sum(terms))

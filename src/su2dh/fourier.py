@@ -45,6 +45,10 @@ alcove,
 with the character and weight folded together analytically as
 2*sin(pi*(n+1)*t)*sin(pi*t), which cancels the only endpoint singularities
 occurring in this problem class.
+
+numpy is imported inside the functions that build arrays, not at module
+level, because `import su2dh`, the residue path and the CLI must start
+without it.
 """
 
 from __future__ import annotations
@@ -54,14 +58,15 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable
 
 from .expsum import RationalPoleFunction
 from .extrapolation import abel_ladder, extrapolate_to_zero
 from .model import VOL_G, VOL_T, QHSpace, require_interior_alcove
 from .residue import DEFAULT_OPTIONS, DensityOverflowError, EvalOptions, NonRealDensityError
+
+if TYPE_CHECKING:
+    import numpy as np
 
 _RECONSTRUCTION_FACTOR = 2.0 * math.pi / VOL_T
 
@@ -119,6 +124,8 @@ def _localization_terms(family: _Family, weights: np.ndarray) -> np.ndarray:
     I_{F'}(z) = I_F(-z), so it is the same pole function evaluated at -w,
     with the conjugate phase.
     """
+    import numpy as np
+
     total = np.zeros(weights.shape, dtype=complex)
     for mu, coefficients in family:
         f = RationalPoleFunction(dict(coefficients))
@@ -139,6 +146,8 @@ def _coefficients(family: _Family, terms: int) -> tuple[np.ndarray, float]:
     The second value is max_n |Im c_n| / max_n |c_n| (0 if all vanish, inf
     if one overflowed).
     """
+    import numpy as np
+
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow is judged below
         values = _localization_terms(family, np.arange(1, terms + 1, dtype=float))
     values.flags.writeable = False
@@ -153,6 +162,8 @@ def fourier_coefficient(space: QHSpace, n: int) -> complex:
     """Localization value of <density, chi_n> for one n >= 0."""
     if not isinstance(n, int) or isinstance(n, bool) or n < 0:
         raise ValueError("n must be an integer >= 0")
+    import numpy as np
+
     value = _localization_terms(_family(space), np.array([float(n + 1)]))
     return complex(value[0])
 
@@ -177,6 +188,8 @@ def reconstruct_density(
     :class:`SummationError` when the last two Richardson levels disagree by
     more than ten times the target tolerance.
     """
+    import numpy as np
+
     t = require_interior_alcove(t)
     n_terms = method.terms
     coefficients, residual = _coefficients(_family(space), n_terms)
@@ -243,6 +256,8 @@ class QuadratureResult:
 
 @lru_cache(maxsize=8)
 def _gauss_nodes(points: int) -> tuple[np.ndarray, np.ndarray]:
+    import numpy as np
+
     nodes, weights = np.polynomial.legendre.leggauss(points)
     return nodes, weights
 

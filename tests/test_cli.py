@@ -422,6 +422,31 @@ class TestParser:
     def test_missing_subcommand(self):
         run_cli(expect=2)
 
+    @pytest.mark.parametrize(
+        "args, flag",
+        [
+            (("eval", "--builtin", "s4", "--t", "0.3", "--mode", "fourier"), "--terms"),
+            (("lemma", "--coeff", "2:1", "--gamma", "1"), "--M"),
+        ],
+    )
+    def test_array_lengths_are_bounded(self, args, flag):
+        # refused before any array is built, so the child returns at once
+        proc = run_cli(*args, flag, "1000000000000", expect=2, timeout=10.0)
+        assert proc.stdout == ""
+        assert f"error: {flag} must be at most 1000000, got 1000000000000" in proc.stderr
+
+    @pytest.mark.parametrize(
+        "args, out",
+        [
+            (("eval", "--builtin", "s4", "--t", "0.3"), "missing/x.csv"),
+            (("central", "--builtin", "s4", "--at", "e"), "."),  # a directory
+        ],
+    )
+    def test_unwritable_out_is_usage_error(self, tmp_path, args, out):
+        proc = run_cli(*args, "--out", str(tmp_path / out), expect=2)
+        assert proc.stdout == "" and "Traceback" not in proc.stderr
+        assert f"error: --out: cannot write {str(tmp_path / out)!r}: " in proc.stderr
+
     def test_conflicting_sources(self):
         run_cli("eval", "--builtin", "s4", "--space", "x.json", "--t", "0.5", expect=2)
 
