@@ -6,8 +6,8 @@ from fixed-point localization data.  Two independent evaluation paths are
 provided (residues in closed form from exact Bernoulli values, and
 accelerated summation of the localization Fourier series), plus a standalone
 exponential-sum/residue identity checker.  The truncated-Laurent-series
-engine (`su2dh.series`) is kept as a reference for the tests; no evaluation
-path uses it.
+engine `su2dh.series` is the tests' reference: no other module imports it,
+and `import su2dh` does not load it.
 """
 
 from .expsum import (
@@ -53,14 +53,7 @@ from .residue import (
     reduced_volume,
     scan,
 )
-from .series import SeriesError, TruncSeries
-from .spaces import (
-    builtin_space,
-    make_product_space,
-    make_s4,
-    product_closed_form,
-    witten_volume_n1,
-)
+from .spaces import builtin_space, make_product_space, make_s4
 
 __version__ = "0.1.0"
 
@@ -79,11 +72,9 @@ __all__ = [
     "QuadratureRule",
     "RationalPoleFunction",
     "ScanPoint",
-    "SeriesError",
     "SpaceFormatError",
     "SummationError",
     "SummationMethod",
-    "TruncSeries",
     "VOL_G",
     "VOL_T",
     "WallError",
@@ -101,10 +92,8 @@ __all__ = [
     "load_space",
     "make_product_space",
     "make_s4",
-    "product_closed_form",
     "reconstruct_density",
     "reduced_volume",
     "save_space",
     "scan",
-    "witten_volume_n1",
 ]

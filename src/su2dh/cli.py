@@ -27,7 +27,7 @@ from typing import Any
 from .expsum import RationalPoleFunction, _check_gamma, exp_sum_extrapolated, exp_sum_residue
 from .extrapolation import abel_ladder
 from .fourier import QuadratureError, SummationError, SummationMethod, reconstruct_density
-from .model import SpaceFormatError, load_space, require_interior_alcove
+from .model import SpaceFormatError, load_space, named, require_interior_alcove
 from .residue import (
     CentralElement,
     DensityOverflowError,
@@ -132,14 +132,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _from_flag(flag: str, constructor, *args, **kwargs):
-    """Build a library object from a flag's value, naming ``flag`` in any rule it breaks."""
-    try:
-        return constructor(*args, **kwargs)
-    except ValueError as exc:
-        raise SpaceFormatError(f"{flag}: {exc}") from exc
-
-
 def _load_selected_space(args: argparse.Namespace):
     if args.builtin is not None:
         return builtin_space(args.builtin)
@@ -147,7 +139,9 @@ def _load_selected_space(args: argparse.Namespace):
         with open(args.space, "r", encoding="utf-8") as handle:
             text = handle.read()
     except OSError as exc:
-        raise SpaceFormatError(f"cannot read space file {args.space!r}: {exc}") from exc
+        raise SpaceFormatError(
+            f"--space: cannot read {args.space!r}: {exc.strerror or exc}"
+        ) from exc
     return load_space(text)
 
 
@@ -202,7 +196,9 @@ def _emit(
             with open(args.out, "w", encoding="utf-8", newline="") as handle:
                 handle.write(text)
         except OSError as exc:
-            raise SpaceFormatError(f"--out: cannot write {args.out!r}: {exc}") from exc
+            raise SpaceFormatError(
+                f"--out: cannot write {args.out!r}: {exc.strerror or exc}"
+            ) from exc
     else:
         sys.stdout.write(text)
 
@@ -220,9 +216,7 @@ def _json_row(header: list[str], cells: list[str]) -> dict[str, Any]:
 
 def _cmd_eval(args: argparse.Namespace) -> int:
     space = _load_selected_space(args)
-    options = _from_flag(
-        "--imag-tol", EvalOptions, args.imag_tol, _WALL_POLICIES[args.wall_policy]
-    )
+    options = named("--imag-tol", EvalOptions, args.imag_tol, _WALL_POLICIES[args.wall_policy])
     if not (0.0 < args.abel < 1.0):
         raise SpaceFormatError("--abel must lie in (0, 1)")
     if args.richardson < 0:
@@ -230,7 +224,7 @@ def _cmd_eval(args: argparse.Namespace) -> int:
     if args.terms > _MAX_GRID_POINTS:
         raise SpaceFormatError(f"--terms must be at most {_MAX_GRID_POINTS}, got {args.terms}")
     # --method is a choice and abel_ladder checks the radii, so only --terms can fail
-    method = _from_flag(
+    method = named(
         "--terms",
         SummationMethod,
         kind=args.method,
@@ -283,7 +277,7 @@ def _cmd_eval(args: argparse.Namespace) -> int:
 def _cmd_central(args: argparse.Namespace) -> int:
     space = _load_selected_space(args)
     which = CentralElement.IDENTITY if args.at == "e" else CentralElement.MINUS_IDENTITY
-    options = _from_flag("--imag-tol", EvalOptions, imag_tolerance=args.imag_tol)
+    options = named("--imag-tol", EvalOptions, imag_tolerance=args.imag_tol)
     print(
         "warning: central value assumes the evaluation point is a regular value "
         "of the moment map; this cannot be verified from fixed-point data",
@@ -314,14 +308,12 @@ def _parse_pole_coefficients(entries: list[str]) -> RationalPoleFunction:
             im = float(parts[2]) if len(parts) == 3 else 0.0
         except ValueError:
             raise SpaceFormatError(f"cannot parse --coeff {entry!r}") from None
-        if k < 1:
-            raise SpaceFormatError(f"--coeff pole order must be >= 1, got {k}")
         if k in coeffs:
             raise SpaceFormatError(f"duplicate --coeff pole order {k}")
         coeffs[k] = complex(re, im)
     if not coeffs:
         raise SpaceFormatError("at least one --coeff K:RE[:IM] is required")
-    return _from_flag("--coeff", RationalPoleFunction, coeffs)
+    return named("--coeff", RationalPoleFunction, coeffs)
 
 
 def _cmd_lemma(args: argparse.Namespace) -> int:

@@ -232,15 +232,19 @@ def reconstruct_density(
     return value.real
 
 
+# Panel doubling stops when two estimates agree to these tolerances; the
+# interval is clipped to [_QUAD_CLIP, 1 - _QUAD_CLIP].
+_QUAD_REL_TOL = 1e-11
+_QUAD_ABS_TOL = 1e-12
+_QUAD_CLIP = 1e-9
+
+
 @dataclass(frozen=True)
 class QuadratureRule:
     """Adaptive composite Gauss-Legendre configuration."""
 
     points: int = 64
-    rel_tol: float = 1e-11
-    abs_tol: float = 1e-12
     max_refinements: int = 12
-    endpoint_clip: float = 1e-9
 
     def __post_init__(self) -> None:
         if self.points < 2:
@@ -286,7 +290,7 @@ def coefficient_quadrature(
     """Coefficient <density, chi_n> of a density function by Weyl integration.
 
     The density callable only needs to be finite on the open alcove; the
-    integration interval is clipped to [clip, 1 - clip] and the character
+    integration interval is clipped to [1e-9, 1 - 1e-9] and the character
     weight 2*sin(pi*(n+1)*t)*sin(pi*t) suppresses the endpoints, so densities
     blowing up like 1/sin(pi*t) integrate cleanly.
     """
@@ -298,15 +302,15 @@ def coefficient_quadrature(
     def integrand(t: float) -> float:
         return VOL_G * density_values(t) * 2.0 * math.sin(weight * t) * math.sin(math.pi * t)
 
-    a = quad.endpoint_clip
-    b = 1.0 - quad.endpoint_clip
+    a = _QUAD_CLIP
+    b = 1.0 - _QUAD_CLIP
     previous: float | None = None
     panels = 1
     for _ in range(quad.max_refinements + 1):
         current = _composite_gauss(integrand, a, b, panels, quad.points)
         if previous is not None:
             disagreement = abs(current - previous)
-            if disagreement <= max(quad.abs_tol, quad.rel_tol * abs(current)):
+            if disagreement <= max(_QUAD_ABS_TOL, _QUAD_REL_TOL * abs(current)):
                 return QuadratureResult(
                     value=current, error_estimate=disagreement, panels=panels
                 )

@@ -223,12 +223,12 @@ def _fraction_to_text(value: Fraction) -> str:
     return f"{sign}{text[:-digits]}.{text[-digits:]}" if digits else f"{sign}{text}"
 
 
-def _judge(path: str, constructor, *args):
-    """Build a model object, naming ``path`` in any rule it breaks."""
+def named(prefix: str, constructor, *args, **kwargs):
+    """Build an object, prefixing any rule it breaks with a space-file field or a flag."""
     try:
-        return constructor(*args)
-    except SpaceFormatError as exc:
-        raise SpaceFormatError(f"malformed space file: {path}: {exc}") from exc
+        return constructor(*args, **kwargs)
+    except ValueError as exc:
+        raise SpaceFormatError(f"{prefix}: {exc}") from exc
 
 
 def _check_array(value: Any, path: str) -> list:
@@ -279,11 +279,11 @@ def load_space(document: Union[str, bytes, Mapping[str, Any]]) -> QHSpace:
             re = _check_number(item["re"], f"{cpath}.re")
             im = _check_number(item["im"], f"{cpath}.im")
             coeffs[power] = complex(re, im)
-        components.append(_judge(path, FixedComponent, entry["label"], entry["mu"], coeffs))
+        where = f"malformed space file: {path}"
+        components.append(named(where, FixedComponent, entry["label"], entry["mu"], coeffs))
 
-    return _judge(
-        "document", QHSpace, document["name"], tuple(components), document["stabilizer_order"]
-    )
+    name, order = document["name"], document["stabilizer_order"]
+    return named("malformed space file: document", QHSpace, name, tuple(components), order)
 
 
 def save_space(space: QHSpace) -> str:

@@ -144,28 +144,31 @@ def _branch(
 
     [x^(2j+1)] P = sqrt(2) * sum_k (c_k pi^k) i^n R with n = k - 2 - 2j and
     the exact rational R = sign * 2^n B_n(weight/2) (-1)^j / (n! (2j+1)!),
-    rounded once.  The residual is max_j |Im| / max_j |.| (0 if all vanish,
-    inf if one is not finite).
+    rounded once.  The residual is max_j |Im| / max_j |.| (0 if all vanish);
+    a coefficient that is not finite or overflows gives no coefficients and
+    the residual inf.
     """
     max_power = max(k for k, _ in coefficients)
-    bernoulli = bernoulli_values(weight / 2, max_power - 2)
-    coeffs = []
-    for j in range(max_power // 2):
-        acc = 0j
-        for k, c in coefficients:
-            n = k - 2 - 2 * j
-            if n >= 0:
-                exact = sign * 2**n * bernoulli[n] * (-1) ** j
-                exact /= math.factorial(n) * math.factorial(2 * j + 1)
-                acc += c * math.pi**k * 1j ** (n % 4) * float(exact)
-        coeffs.append(VOL_T * acc)
-    real = tuple(c.real for c in coeffs)
-    if not all(map(cmath.isfinite, coeffs)):
-        return real, math.inf
     try:
-        size = max(map(abs, coeffs))
-    except OverflowError:  # a finite coefficient whose modulus is beyond the float range
-        return real, math.inf
+        # first, so that pi**k, which overflows for k >= 621, fails before the Bernoulli values
+        scaled = [(k, c * math.pi**k) for k, c in coefficients]
+        bernoulli = bernoulli_values(weight / 2, max_power - 2)
+        coeffs = []
+        for j in range(max_power // 2):
+            acc = 0j
+            for k, c in scaled:
+                n = k - 2 - 2 * j
+                if n >= 0:
+                    exact = sign * 2**n * bernoulli[n] * (-1) ** j
+                    exact /= math.factorial(n) * math.factorial(2 * j + 1)
+                    acc += c * 1j ** (n % 4) * float(exact)
+            coeffs.append(VOL_T * acc)
+        size = max(map(abs, coeffs))  # overflows for a finite coefficient beyond the range
+    except OverflowError:
+        return (), math.inf
+    if not all(map(cmath.isfinite, coeffs)):
+        return (), math.inf
+    real = tuple(c.real for c in coeffs)
     return real, max(abs(c.imag) for c in coeffs) / size if size else 0.0
 
 

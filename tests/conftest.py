@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -5,7 +6,8 @@ import mpmath
 import pytest
 from hypothesis import strategies as st
 
-from su2dh.model import FixedComponent, QHSpace
+from su2dh.model import VOL_T, FixedComponent, QHSpace, require_interior_alcove
+from su2dh.series import bose_kernel, exp_linear, mul, sin_linear
 
 
 def make_random_component(rng: random.Random, label: str) -> FixedComponent:
@@ -96,3 +98,35 @@ def exp_sum_reference(coeffs: dict[int, complex], gamma: float) -> tuple[complex
             for k, a in coeffs.items()
         ]
         return complex(mpmath.fsum(terms)), float(mpmath.fsum(abs(term) for term in terms))
+
+
+def product_closed_form(n: int, t: float) -> float:
+    """Product-space density via direct coefficient extraction.
+
+    Evaluates  sqrt(2) * i * g_{2n-2} / (2^n * pi^{2n-2} * sin(pi*t))  where
+    g_{2n-2} is the coefficient of z^{2n-2} in
+    e^{pi*i*z} * sin(pi*(1-t)*z) / (e^{2*pi*i*z} - 1), i.e. the (2n-2)-nd
+    derivative at 0 divided by (2n-2)!.  No numerical differentiation and no
+    residue extraction are involved.
+    """
+    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
+        raise ValueError(f"closed form requires an integer n >= 1, got {n!r}")
+    t = require_interior_alcove(t)
+    high = 2 * n + 4
+    g = mul(
+        mul(exp_linear(1j * math.pi, high), sin_linear(math.pi * (1.0 - t), high)),
+        bose_kernel(high),
+    )
+    coefficient = g.coefficient(2 * n - 2)
+    value = VOL_T * (1j * coefficient) / (2.0**n * math.pi ** (2 * n - 2) * math.sin(math.pi * t))
+    if abs(value.imag) > 1e-9 * (1.0 + abs(value.real)):
+        raise ArithmeticError(
+            f"closed form produced a non-real value (imag {value.imag:.3e})"
+        )
+    return value.real
+
+
+def witten_volume_n1(t: float) -> float:
+    """Classical moduli-volume answer for the n = 1 product space: 1 - t."""
+    t = require_interior_alcove(t)
+    return 1.0 - t

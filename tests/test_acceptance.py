@@ -24,7 +24,8 @@ from su2dh.series import (
     reciprocal,
     shift,
 )
-from su2dh.spaces import make_product_space, make_s4, product_closed_form, witten_volume_n1
+from su2dh.spaces import make_product_space, make_s4
+from conftest import product_closed_form, witten_volume_n1
 
 SQRT2 = math.sqrt(2.0)
 GRID = [i / 20 for i in range(1, 20)]

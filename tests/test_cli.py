@@ -279,6 +279,25 @@ class TestEval:
         assert proc.stdout == "" and "error: numeric overflow" in proc.stderr
         assert "Warning" not in proc.stderr
 
+    @pytest.mark.parametrize(
+        "command, label",
+        [
+            (("eval", "--builtin", "product:320", "--t", "0.3"), "F"),
+            (("eval", "--space", "/dev/stdin", "--grid", "0.1:0.9:0.1"), "a"),
+            (("central", "--space", "/dev/stdin", "--at", "e"), "a"),
+        ],
+    )
+    def test_deep_pole_is_a_numeric_failure(self, command, label):
+        # pi**k overflows for k >= 621 while the branches are compiled; this
+        # printed a traceback with exit 1
+        deep = FixedComponent("a", Fraction(1, 4), {640: 1e-300})
+        proc = run_cli(*command, expect=3, input=save_space(QHSpace("deep", (deep,), 1)))
+        assert proc.stdout == "" and "Traceback" not in proc.stderr
+        assert (
+            f"error: numeric overflow: component {label!r} has coefficients beyond the float range"
+            in proc.stderr
+        )
+
     @settings(max_examples=5, deadline=None)
     @given(odd_real_components())
     def test_real_odd_power_is_refused_at_any_scale(self, comp):
@@ -446,6 +465,14 @@ class TestParser:
         proc = run_cli(*args, "--out", str(tmp_path / out), expect=2)
         assert proc.stdout == "" and "Traceback" not in proc.stderr
         assert f"error: --out: cannot write {str(tmp_path / out)!r}: " in proc.stderr
+        assert proc.stderr.count(str(tmp_path)) == 1  # the OS message does not repeat it
+
+    @pytest.mark.parametrize("space", ["missing.json", "."])  # "." is a directory
+    def test_unreadable_space_is_usage_error(self, tmp_path, space):
+        proc = run_cli("eval", "--space", str(tmp_path / space), "--t", "0.3", expect=2)
+        assert proc.stdout == "" and "Traceback" not in proc.stderr
+        assert f"error: --space: cannot read {str(tmp_path / space)!r}: " in proc.stderr
+        assert proc.stderr.count(str(tmp_path)) == 1
 
     def test_conflicting_sources(self):
         run_cli("eval", "--builtin", "s4", "--space", "x.json", "--t", "0.5", expect=2)

@@ -1,5 +1,5 @@
-"""Layering: the Laurent-series engine stays off the evaluation paths, and
-numpy stays off the residue path's start-up."""
+"""Layering: no library module imports the Laurent-series engine, which is
+the tests' reference, and numpy stays off the residue path's start-up."""
 
 import ast
 import os
@@ -12,9 +12,6 @@ import pytest
 import su2dh
 
 PACKAGE = Path(su2dh.__file__).resolve().parent
-
-# spaces.py holds the product-space oracle, and __init__.py re-exports names
-ALLOWED = {"spaces.py", "__init__.py"}
 
 
 def imports_series(path: Path) -> bool:
@@ -33,7 +30,7 @@ def imports_series(path: Path) -> bool:
 
 
 @pytest.mark.parametrize(
-    "name", sorted(p.name for p in PACKAGE.glob("*.py") if p.name not in ALLOWED | {"series.py"})
+    "name", sorted(p.name for p in PACKAGE.glob("*.py") if p.name != "series.py")
 )
 def test_module_does_not_import_series(name):
     assert not imports_series(PACKAGE / name)
@@ -51,11 +48,11 @@ def test_the_guard_sees_each_spelling(tmp_path):
         module = tmp_path / f"m{i}.py"
         module.write_text(line + "\n", encoding="utf-8")
         assert imports_series(module), line
-    assert imports_series(PACKAGE / "spaces.py")
 
 
 # A fresh interpreter runs cli.main on the arguments (none: only
-# ``import su2dh``) and prints its exit code and whether numpy was loaded.
+# ``import su2dh``) and prints its exit code and whether numpy and the
+# series engine were loaded.
 _CHILD = """
 import contextlib, io, sys
 import su2dh
@@ -64,13 +61,13 @@ if sys.argv[1:]:
     from su2dh.cli import main
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         code = main(sys.argv[1:])
-print(code, "numpy" in sys.modules)
+print(code, "numpy" in sys.modules, "su2dh.series" in sys.modules)
 """
 
 _WALLED = str(Path(__file__).parent / "golden" / "walled.json")
 
 
-def numpy_loaded_by(*args: str) -> tuple[str, bool]:
+def modules_loaded_by(*args: str) -> tuple[str, bool, bool]:
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (str(PACKAGE.parent), os.environ.get("PYTHONPATH")) if p
     ))
@@ -79,8 +76,8 @@ def numpy_loaded_by(*args: str) -> tuple[str, bool]:
         capture_output=True, text=True, env=env, timeout=60.0,
     )
     assert proc.returncode == 0, proc.stderr
-    code, loaded = proc.stdout.split()
-    return code, loaded == "True"
+    code, numpy, series = proc.stdout.split()
+    return code, numpy == "True", series == "True"
 
 
 @pytest.mark.parametrize(
@@ -101,7 +98,7 @@ def numpy_loaded_by(*args: str) -> tuple[str, bool]:
     ],
 )
 def test_residue_start_up_does_not_load_numpy(args, code):
-    assert numpy_loaded_by(*args) == (code, False)
+    assert modules_loaded_by(*args) == (code, False, False)
 
 
 @pytest.mark.parametrize(
@@ -113,4 +110,4 @@ def test_residue_start_up_does_not_load_numpy(args, code):
     ],
 )
 def test_the_start_up_guard_sees_numpy(args):
-    assert numpy_loaded_by(*args) == ("0", True)
+    assert modules_loaded_by(*args) == ("0", True, False)

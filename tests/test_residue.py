@@ -1,10 +1,12 @@
 """Residue evaluation path: golden values, walls, central elements, properties."""
 
 import math
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from su2dh.extrapolation import extrapolate_to_zero
 from su2dh.model import AlcoveRangeError, FixedComponent, QHSpace
@@ -25,11 +27,12 @@ from su2dh.residue import (
     scan,
 )
 from su2dh.series import bose_kernel, exp_linear, from_coefficients, mul, residue, shift, sin_linear
-from su2dh.spaces import make_product_space, make_s4, product_closed_form
+from su2dh.spaces import make_product_space, make_s4
 from conftest import (
     interior_t_avoiding_walls,
     make_random_space,
     odd_real_components,
+    product_closed_form,
     symmetric_components,
 )
 
@@ -91,8 +94,6 @@ class TestDensity:
         assert density(space, 0.25).total == 0.0
 
     def test_product2_matches_closed_form(self):
-        from su2dh.spaces import product_closed_form
-
         space = make_product_space(2)
         value = density(space, 0.3).total
         assert value == pytest.approx(product_closed_form(2, 0.3), rel=1e-10)
@@ -395,6 +396,44 @@ class TestRealnessProperties:
             scan(space, [0.1, 0.37, 0.9])
 
 
+def reflected(space: QHSpace) -> QHSpace:
+    """The mirror space: each component moved to 1 - mu with c_k -> (-1)^(k+1) c_k."""
+    components = tuple(
+        FixedComponent(
+            c.label, 1 - c.mu, {k: (-1) ** (k + 1) * a for k, a in c.euler_integral.items()}
+        )
+        for c in space.components
+    )
+    return QHSpace(space.name, components, space.stabilizer_order)
+
+
+class TestReflection:
+    """t -> 1 - t with the mirrored data is a symmetry of every density."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 2**32 - 1).map(random.Random))
+    def test_mirror_space(self, rand):
+        # density at 1 - t equals density at t, and the central values swap e <-> -e
+        space = make_random_space(rand)
+        mirror = reflected(space)
+        for _ in range(5):
+            t = interior_t_avoiding_walls(rand, space)
+            here, there = density(space, t), density(mirror, 1.0 - t)
+            tol = 1e-12 * max(map(abs, here.per_component.values()))
+            assert abs(there.total - here.total) <= tol
+            for label, value in here.per_component.items():
+                assert abs(there.per_component[label] - value) <= tol
+        for which, swapped in (
+            (CentralElement.IDENTITY, CentralElement.MINUS_IDENTITY),
+            (CentralElement.MINUS_IDENTITY, CentralElement.IDENTITY),
+        ):
+            here = [component_central_density(c, which) for c in space.components]
+            there = [component_central_density(c, swapped) for c in mirror.components]
+            tol = 1e-12 * max(map(abs, here))
+            assert all(abs(b - a) <= tol for a, b in zip(here, there))
+            assert abs(central_density(mirror, swapped) - central_density(space, which)) <= tol
+
+
 class TestOverflow:
     """Finite data whose arithmetic overflows are refused, never returned as inf or nan."""
 
@@ -416,6 +455,28 @@ class TestOverflow:
             lambda: central_density(space, CentralElement.MINUS_IDENTITY),
         ):
             with pytest.raises(DensityOverflowError, match="component 'a' has coefficients beyond"):
+                call()
+
+    @pytest.mark.parametrize(
+        "space",
+        [
+            make_product_space(320),  # pi^640 overflows; c_640 underflows to 0
+            QHSpace("deep", (FixedComponent("a", Fraction(1, 4), {640: 1e-300}),), 1),
+        ],
+        ids=["product:320", "power-640"],
+    )
+    def test_pole_order_beyond_pi_power_range_is_refused(self, space):
+        # pi**k overflows for k >= 621, which raised a bare OverflowError
+        label = space.components[0].label
+        for call in (
+            lambda: density(space, 0.3),
+            lambda: scan(space, [0.3]),
+            lambda: central_density(space, CentralElement.IDENTITY),
+            lambda: central_density(space, CentralElement.MINUS_IDENTITY),
+        ):
+            with pytest.raises(
+                DensityOverflowError, match=f"component {label!r} has coefficients beyond"
+            ):
                 call()
 
     def test_overflowing_sum_is_refused(self):

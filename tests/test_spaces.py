@@ -6,13 +6,8 @@ import pytest
 
 from su2dh.model import AlcoveRangeError
 from su2dh.residue import density, reduced_volume
-from su2dh.spaces import (
-    builtin_space,
-    make_product_space,
-    make_s4,
-    product_closed_form,
-    witten_volume_n1,
-)
+from su2dh.spaces import builtin_space, make_product_space, make_s4
+from conftest import product_closed_form, witten_volume_n1
 
 SQRT2 = math.sqrt(2.0)
 GRID = [i / 20 for i in range(1, 20)]
