@@ -128,11 +128,11 @@ def _localization_terms(family: _Family, weights: np.ndarray) -> np.ndarray:
 
     total = np.zeros(weights.shape, dtype=complex)
     for mu, coefficients in family:
-        f = RationalPoleFunction(dict(coefficients))
+        f_pos, f_neg = RationalPoleFunction(dict(coefficients))._both_signs(weights)
         phase = np.exp(1j * math.pi * float(mu) * weights)
-        total += weights * f(weights) * phase
+        total += weights * f_pos * phase
         if mu not in (0, 1):
-            total += weights * f(-weights) * np.conj(phase)
+            total += weights * f_neg * np.conj(phase)
     return total
 
 

@@ -45,10 +45,10 @@ class TestBernoulliValues:
     def test_exact_against_the_binomial_sum(self, x):
         # B_n(x) = sum_j C(n, j) B_j x^(n-j), with sympy's exact Bernoulli numbers
         # (sympy >= 1.12 gives B_1 = +1/2; the sum needs B_1 = -1/2)
-        numbers = [Fraction(str(sympy.bernoulli(j))) for j in range(31)]
+        numbers = [Fraction(str(sympy.bernoulli(j))) for j in range(61)]
         numbers[1] = Fraction(-1, 2)
-        values = bernoulli_values(x, 30)
-        assert len(values) == 31 and all(isinstance(v, Fraction) for v in values)
+        values = bernoulli_values(x, 60)
+        assert len(values) == 61 and all(isinstance(v, Fraction) for v in values)
         for n, value in enumerate(values):
             assert value == sum(math.comb(n, j) * numbers[j] * x ** (n - j) for j in range(n + 1))
 
@@ -163,6 +163,45 @@ class TestPartialSums:
             exp_sum_partial(f, 1.0, 0)
         with pytest.raises(ValueError):
             exp_sum_partial(f, 1.0, 10, damping_r=1.5)
+        # a float or bool M is refused, not rounded up or read as 1
+        for bad in (2.5, 1.0, True, 1e5):
+            with pytest.raises(ValueError, match="M must be an integer >= 1"):
+                exp_sum_partial(f, 1.0, bad)
+            with pytest.raises(ValueError, match="M must be an integer >= 1"):
+                exp_sum_extrapolated(f, 1.0, bad)
+
+    @pytest.mark.parametrize("M", [1, 2, 4095, 4096, 4097, 3 * 4096 + 5])
+    @pytest.mark.parametrize("damping_r", [1.0, 0.999])
+    def test_block_edges(self, rng, M, damping_r):
+        # the terms are evaluated 4096 at a time; each block edge must give
+        # the sum that f's own evaluation and a complex exponential give
+        import numpy as np
+
+        f = RationalPoleFunction(
+            {k: complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for k in (1, 2, 5)}
+        )
+        gamma = -2.3
+        m = np.arange(1, M + 1, dtype=float)
+        terms = np.exp(1j * gamma * m) * f(m) + np.exp(-1j * gamma * m) * f(-m)
+        terms = terms * damping_r**m
+        value = exp_sum_partial(f, gamma, M, damping_r)
+        assert abs(value - np.sum(terms)) <= 1e-14 * np.sum(np.abs(terms))
+
+    def test_oracle_memory_is_two_arrays_of_terms(self):
+        # the undamped and the damped terms are the only arrays of length M;
+        # the rest of the work runs in fixed-size blocks
+        import tracemalloc
+
+        f = RationalPoleFunction({1: 0.3 + 0.2j, 2: -0.5, 5: 0.7j})
+        M = 100_000
+        exp_sum_extrapolated(f, 1.3, M=M)
+        tracemalloc.start()
+        try:
+            exp_sum_extrapolated(f, 1.3, M=M)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 40 * M
 
 
 class TestAbelLadder:
