@@ -26,8 +26,10 @@ per term, 160 KB each at the default 10,000 terms.  Each entry also holds the
 relative imaginary residual max_n |Im c_n| / max_n |c_n|; reflection-symmetric
 data give about 1e-15, and a residual above `EvalOptions.imag_tolerance` is
 refused with `NonRealDensityError`, as the residue path refuses a branch.
-Only the characters and the damped sums are computed per point, so a call on
-a warm cache gives the same value, to the bit, as one on a cold cache.
+The weights n + 1 and the damping arrays depend only on the
+`SummationMethod`, so a second small cache keeps them per method.  Only the
+characters and the damped sums are computed per point, so a call on a warm
+cache gives the same value, to the bit, as one on a cold cache.
 
 For minimal-codimension data (coefficients starting at z^{-2}) the series is
 only conditionally convergent, so summation methods are provided: plain
@@ -158,6 +160,36 @@ def _coefficients(family: _Family, terms: int) -> tuple[np.ndarray, float]:
     return values, residual
 
 
+# Bounded like the coefficient cache.  An entry holds 8 bytes per term for
+# the weights and 8 more per damping array: 320 KB for the default Abel
+# ladder at 10,000 terms.
+@lru_cache(maxsize=4)
+def _ladder(
+    method: SummationMethod,
+) -> tuple[np.ndarray, tuple[tuple[float, np.ndarray | float], ...]]:
+    """Read-only weights n + 1 for n < terms, and the method's (node, damping) pairs.
+
+    The pairs are the extrapolation node h and the damping of term n.  A
+    single pair extrapolates to itself, with a NaN correction that never
+    trips the tolerance check.
+    """
+    import numpy as np
+
+    n_terms = method.terms
+    weights = np.arange(1, n_terms + 1, dtype=float)
+    n_index = np.arange(n_terms, dtype=float)
+    if method.kind == "partial":
+        ladder: tuple = ((1.0, 1.0),)
+    elif method.kind == "cesaro":
+        ladder = ((1.0, 1.0 - n_index / n_terms),)
+    else:
+        ladder = tuple((1.0 - r, np.exp(n_index * math.log(r))) for r in method.abel_r)
+    for array in (weights, *(damping for _, damping in ladder)):
+        if isinstance(array, np.ndarray):
+            array.flags.writeable = False
+    return weights, ladder
+
+
 def fourier_coefficient(space: QHSpace, n: int) -> complex:
     """Localization value of <density, chi_n> for one n >= 0."""
     if not isinstance(n, int) or isinstance(n, bool) or n < 0:
@@ -191,8 +223,7 @@ def reconstruct_density(
     import numpy as np
 
     t = require_interior_alcove(t)
-    n_terms = method.terms
-    coefficients, residual = _coefficients(_family(space), n_terms)
+    coefficients, residual = _coefficients(_family(space), method.terms)
     if residual == math.inf:
         raise DensityOverflowError(
             f"numeric overflow: space {space.name!r} has non-finite Fourier coefficients"
@@ -202,21 +233,9 @@ def reconstruct_density(
             f"non-real density (check input data): space {space.name!r} has Fourier "
             f"coefficients with relative imaginary residual {residual:.3e}"
         )
-    weights = np.arange(1, n_terms + 1, dtype=float)  # n + 1
+    weights, ladder = _ladder(method)
     characters = np.sin(math.pi * t * weights) / math.sin(math.pi * t)
     base_terms = coefficients * characters
-
-    # each kind gives (extrapolation node, damping) pairs; a single
-    # sample extrapolates to itself, with a NaN correction that never trips
-    # the tolerance check
-    n_index = np.arange(n_terms, dtype=float)
-    if method.kind == "partial":
-        ladder = [(1.0, 1.0)]
-    elif method.kind == "cesaro":
-        ladder = [(1.0, 1.0 - n_index / n_terms)]
-    else:
-        # lazy, so one damping array is alive at a time
-        ladder = ((1.0 - r, np.exp(n_index * math.log(r))) for r in method.abel_r)
     samples = [
         (h, _RECONSTRUCTION_FACTOR * complex(np.sum(base_terms * damping)))
         for h, damping in ladder

@@ -127,6 +127,8 @@ class QHSpace:
     name: str
     components: tuple[FixedComponent, ...]
     stabilizer_order: int
+    # compiled evaluation data that `residue` stores on first use; not part of the value
+    _compiled: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         # component order is not semantic; keep it canonical (sorted by label)
@@ -152,7 +154,7 @@ class QHSpace:
         raise KeyError(label)
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class DensityResult:
     """Density at one alcove point with per-component breakdown.
 
@@ -160,6 +162,10 @@ class DensityResult:
     max_j |Im c_j| / max_j |c_j|, of the chamber-polynomial branches the
     call judged (all that an interior point can reach), kept for
     diagnostics; totals are sums of the per-component values up to rounding.
+
+    A slotted record, not a frozen one: a scan builds one per point, and a
+    frozen dataclass's ``__init__`` costs two to three times as much.  It
+    holds a dict, so it was never hashable either way.
     """
 
     t: float

@@ -52,6 +52,17 @@ residual, max_j |Im c_j| / max_j |c_j|.  Realness is judged once per call, on
 the branches the call can reach; every point is then evaluated in real
 arithmetic.  A coefficient, density or volume that overflows raises
 `DensityOverflowError`.
+
+The interior table.  `density`, `scan` and `reduced_volume` read a table
+that each `QHSpace` object stores on its first interior evaluation: every
+component's compiled branches and the largest residual an interior point
+can reach.  Building it hashes each component's content once; a call then
+only compares that largest residual with its own
+`EvalOptions.imag_tolerance`.  The verdict is not stored, because the
+tolerance belongs to the call: a space that passes one call's tolerance
+may fail the next.  When the residual fails, the components are judged one
+by one in order, so the first at fault raises with the message that names
+it and its branch.
 """
 
 from __future__ import annotations
@@ -206,17 +217,33 @@ def _judged(
     return poly, poly.residual[branch]
 
 
-def _compile_interior(
-    components: Iterable[FixedComponent], options: EvalOptions
-) -> tuple[list[tuple[str, _BranchPolynomials]], float]:
-    """Compile and judge each branch an interior point reaches; also the largest residual."""
+_Interior = tuple[list[tuple[str, _BranchPolynomials]], float]
+
+
+def _reach(component: FixedComponent) -> list[str]:
+    """The branches an interior point can reach: a central component has only one."""
+    return [b for b, edge in (("below", 0), ("above", 1)) if component.mu != edge]
+
+
+def _interior_table(components: Sequence[FixedComponent]) -> _Interior:
+    """Each component's label and compiled branches, and the largest residual they reach."""
     compiled, residual = [], 0.0
     for comp in components:
-        reach = [b for b, edge in (("below", 0), ("above", 1)) if comp.mu != edge]
-        poly, comp_residual = _judged(comp, reach, options)
+        poly = _branch_polynomials(comp)
         compiled.append((comp.label, poly))
-        residual = max(residual, comp_residual)
+        residual = max(residual, *(poly.residual[b] for b in _reach(comp)))
     return compiled, residual
+
+
+def _interior(space: QHSpace, options: EvalOptions) -> _Interior:
+    """The space's interior table, built on its first use and judged on every call."""
+    table = space._compiled.get("interior")
+    if table is None:
+        table = space._compiled["interior"] = _interior_table(space.components)
+    if table[1] > options.imag_tolerance:  # inf too: an overflowed branch
+        for comp in space.components:  # the first component at fault raises
+            _judged(comp, _reach(comp), options)
+    return table
 
 
 def _fsum(values: Iterable[float]) -> float:
@@ -254,20 +281,21 @@ def _evaluate(
     total = _fsum(per_component.values())
     if not math.isfinite(total):
         raise _overflow(f"density at t = {t}")
-    return DensityResult(t=t, total=total, per_component=per_component, max_imag_residual=residual)
+    return DensityResult(t, total, per_component, residual)
 
 
 def component_density(
     component: FixedComponent, t: float, options: EvalOptions = DEFAULT_OPTIONS
 ) -> float:
     """Contribution of one component to the density at exp(t*rho), 0 < t < 1."""
-    result = _evaluate(*_compile_interior([component], options), t, options)
+    poly, residual = _judged(component, _reach(component), options)
+    result = _evaluate([(component.label, poly)], residual, t, options)
     return result.per_component[component.label]
 
 
 def density(space: QHSpace, t: float, options: EvalOptions = DEFAULT_OPTIONS) -> DensityResult:
     """Density at exp(t*rho): sum of the per-component contributions."""
-    return _evaluate(*_compile_interior(space.components, options), t, options)
+    return _evaluate(*_interior(space, options), t, options)
 
 
 def component_central_density(
@@ -315,7 +343,7 @@ def reduced_volume(
     return interior_volume(space, result.t, result.total)
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class ScanPoint:
     """One grid point of a density scan; exactly one of result/error is set."""
 
@@ -337,15 +365,15 @@ def scan(
     alcove become error rows instead of aborting the scan; grid order is
     preserved.  Non-real data raise ``NonRealDensityError`` before any point.
     """
-    compiled, residual = _compile_interior(space.components, options)
+    compiled, residual = _interior(space, options)
     points: list[ScanPoint] = []
     for t in t_grid:
         try:
             result = _evaluate(compiled, residual, t, options)
             volume = interior_volume(space, result.t, result.total)
-            points.append(ScanPoint(t=result.t, result=result, volume=volume))
+            points.append(ScanPoint(result.t, result, volume))
         except (WallError, AlcoveRangeError) as exc:
             if fail_fast:
                 raise
-            points.append(ScanPoint(t=float(t), result=None, volume=None, error=str(exc)))
+            points.append(ScanPoint(float(t), None, None, str(exc)))
     return points

@@ -1,20 +1,32 @@
 """Residue evaluation path: golden values, walls, central elements, properties."""
 
+import dataclasses
 import math
 import random
+import struct
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import su2dh.residue as residue_module
 from su2dh.extrapolation import extrapolate_to_zero
-from su2dh.model import AlcoveRangeError, FixedComponent, QHSpace
+from su2dh.model import (
+    AlcoveRangeError,
+    DensityResult,
+    FixedComponent,
+    QHSpace,
+    load_space,
+    save_space,
+)
 from su2dh.residue import (
     CentralElement,
     DensityOverflowError,
     EvalOptions,
     NonRealDensityError,
+    ScanPoint,
     WallError,
     WallPolicy,
     _branch_polynomials,
@@ -23,6 +35,7 @@ from su2dh.residue import (
     component_central_density,
     component_density,
     density,
+    interior_volume,
     reduced_volume,
     scan,
 )
@@ -38,6 +51,7 @@ from conftest import (
 
 SQRT2 = math.sqrt(2.0)
 GRID = [i / 20 for i in range(1, 20)]
+WALLED = Path(__file__).parent / "golden" / "walled.json"
 
 
 def s4_total(t: float) -> float:
@@ -378,6 +392,199 @@ class TestScan:
     def test_fail_fast(self):
         with pytest.raises(WallError):
             scan(TestWalls.WALL_SPACE, [0.5], fail_fast=True)
+
+
+def packed(*values) -> tuple:
+    """Floats as their IEEE bytes, so that equal rows are equal to the bit."""
+    return tuple(struct.pack("<d", v) if isinstance(v, float) else v for v in values)
+
+
+def density_bytes(result: DensityResult) -> tuple:
+    parts = [x for item in result.per_component.items() for x in item]
+    return packed(result.t, result.total, result.max_imag_residual, *parts)
+
+
+class TestScanRows:
+    """A scan row is the per-point density and its volume, to the bit."""
+
+    @pytest.mark.parametrize("policy", list(WallPolicy))
+    def test_rows_equal_per_point_density(self, policy, rng):
+        options = EvalOptions(wall_policy=policy)
+        spaces = [load_space(WALLED.read_text())]
+        spaces += [make_random_space(rng) for _ in range(12)]
+        error_rows = wall_rows = 0
+        for space in spaces:
+            walls = [float(c.mu) for c in space.components if not c.central]
+            grid = [interior_t_avoiding_walls(rng, space) for _ in range(8)]
+            grid += walls + [0.0, 1.0, -0.5, 1.25]
+            rows = scan(space, grid, options)
+            assert len(rows) == len(grid)
+            for t, row in zip(grid, rows):
+                wall_rows += t in walls
+                try:
+                    result = density(space, t, options)
+                except (WallError, AlcoveRangeError) as exc:
+                    assert packed(row.t, row.result, row.volume) == packed(float(t), None, None)
+                    assert row.error == str(exc)
+                    error_rows += 1
+                    continue
+                volume = interior_volume(space, result.t, result.total)
+                assert packed(row.t, row.volume, row.error) == packed(result.t, volume, None)
+                assert density_bytes(row.result) == density_bytes(result)
+        assert wall_rows >= 10
+        expected = 4 * len(spaces) + (wall_rows if policy is WallPolicy.ERROR else 0)
+        assert error_rows == expected
+
+    @pytest.mark.parametrize("policy", list(WallPolicy))
+    def test_fail_fast_raises_the_first_error_row(self, policy):
+        space = load_space(WALLED.read_text())
+        options = EvalOptions(wall_policy=policy)
+        grid = [0.25, 0.5, 1.5, 0.75]
+        first_error = next(r.error for r in scan(space, grid, options) if r.error)
+        with pytest.raises((WallError, AlcoveRangeError)) as info:
+            scan(space, grid, options, fail_fast=True)
+        assert str(info.value) == first_error
+        clean = [0.1, 0.5, 0.9] if policy is not WallPolicy.ERROR else [0.1, 0.9]
+        fast, slow = scan(space, clean, options, fail_fast=True), scan(space, clean, options)
+        assert [density_bytes(r.result) + packed(r.volume) for r in fast] == [
+            density_bytes(r.result) + packed(r.volume) for r in slow
+        ]
+
+
+class TestInteriorTable:
+    """Each space object compiles its interior branches once; every call judges them."""
+
+    @staticmethod
+    def counted(monkeypatch) -> list:
+        builds = []
+        build = residue_module._interior_table
+
+        def counting(components):
+            builds.append([c.label for c in components])
+            return build(components)
+
+        monkeypatch.setattr(residue_module, "_interior_table", counting)
+        return builds
+
+    def test_table_is_built_once_per_space_object(self, monkeypatch):
+        builds = self.counted(monkeypatch)
+        space = make_product_space(5)
+        for i in range(100):
+            density(space, (i + 0.5) / 100)
+        scan(space, GRID)
+        reduced_volume(space, 0.3)
+        assert builds == [[c.label for c in space.components]]
+
+    def test_equal_spaces_build_a_table_each_and_share_compiles(self, monkeypatch, rng):
+        text = save_space(make_random_space(rng, n_components=3))
+        first, second = load_space(text), load_space(text)
+        contents = {c.content for c in first.components}
+        builds = self.counted(monkeypatch)
+        _compile.cache_clear()
+        density(first, 0.37)
+        density(second, 0.41)
+        scan(first, GRID, EvalOptions(wall_policy=WallPolicy.LEFT_LIMIT))
+        assert len(builds) == 2
+        info = _compile.cache_info()
+        assert (info.misses, info.hits) == (len(contents), len(first.components))
+        # the table is not part of the value
+        fresh = load_space(text)
+        assert first == second == fresh
+        assert repr(first) == repr(fresh)
+        assert save_space(first) == text
+
+    def test_tolerance_is_judged_on_every_call(self):
+        comp = FixedComponent("c", Fraction(3, 10), {2: 1.0, 3: 1e-6})
+        space = QHSpace("mixed", (FixedComponent("a", Fraction(1, 2), {2: 1.0}), comp), 1)
+        poly = _branch_polynomials(comp)
+        branch = max(("below", "above"), key=poly.residual.__getitem__)
+        residual = poly.residual[branch]
+        assert 1e-9 < residual < 1e-3
+        loose = EvalOptions(imag_tolerance=10 * residual)
+        tight = EvalOptions(imag_tolerance=residual / 10)
+        message = (
+            f"non-real density (check input data): component 'c' has relative imaginary "
+            f"residual {residual:.3e} on its {branch} branch"
+        )
+        for _ in range(2):
+            assert density(space, 0.6, loose).max_imag_residual == residual
+            assert all(p.error is None for p in scan(space, [0.15, 0.4, 0.65, 0.85], loose))
+            for call in (
+                lambda: density(space, 0.6, tight),
+                lambda: scan(space, GRID, tight),
+                lambda: reduced_volume(space, 0.6, tight),
+            ):
+                with pytest.raises(NonRealDensityError) as info:
+                    call()
+                assert str(info.value) == message
+
+    def test_first_component_at_fault_is_named(self):
+        # 'b' has the larger residual, but 'a' comes first in component order
+        space = QHSpace(
+            "two",
+            (
+                FixedComponent("a", Fraction(3, 10), {2: 1.0, 3: 1e-6}),
+                FixedComponent("b", Fraction(7, 10), {2: 1.0, 3: 1e-3}),
+            ),
+            1,
+        )
+        for _ in range(2):
+            with pytest.raises(NonRealDensityError, match="component 'a'"):
+                density(space, 0.5)
+
+    def test_overflowed_branch_is_refused_on_every_call(self):
+        space = TestOverflow.space(1e308)
+        loosest = EvalOptions(imag_tolerance=1.0)
+        for _ in range(3):
+            for call in (
+                lambda: density(space, 0.5),
+                lambda: density(space, 0.5, loosest),
+                lambda: scan(space, [0.5], loosest),
+                lambda: reduced_volume(space, 0.5),
+            ):
+                with pytest.raises(DensityOverflowError, match="component 'a' has coefficients"):
+                    call()
+
+
+class TestRecords:
+    def test_fields_and_defaults(self):
+        missing = dataclasses.MISSING
+        assert [
+            (f.name, f.default, f.default_factory) for f in dataclasses.fields(DensityResult)
+        ] == [
+            ("t", missing, missing),
+            ("total", missing, missing),
+            ("per_component", missing, dict),
+            ("max_imag_residual", 0.0, missing),
+        ]
+        assert [(f.name, f.default) for f in dataclasses.fields(ScanPoint)] == [
+            ("t", missing),
+            ("result", missing),
+            ("volume", missing),
+            ("error", None),
+        ]
+
+    def test_equal_rows_compare_equal(self):
+        space = TestWalls.WALL_SPACE
+        grid = [0.25, 0.5, 0.75]
+        assert scan(space, grid) == scan(space, grid)
+        assert density(space, 0.25) == density(space, 0.25)
+        assert density(space, 0.25) != density(space, 0.75)
+        assert DensityResult(0.5, 1.0) == DensityResult(t=0.5, total=1.0, per_component={})
+
+    def test_repr(self):
+        result = DensityResult(0.25, 1.5, {"a": 1.5})
+        assert repr(result) == (
+            "DensityResult(t=0.25, total=1.5, per_component={'a': 1.5}, max_imag_residual=0.0)"
+        )
+        assert repr(ScanPoint(0.5, None, None, "wall")) == (
+            "ScanPoint(t=0.5, result=None, volume=None, error='wall')"
+        )
+
+    def test_records_are_slotted(self):
+        for record in (DensityResult(0.5, 1.0), ScanPoint(0.5, None, None)):
+            assert "__slots__" in vars(type(record))
+            assert not hasattr(record, "__dict__")
 
 
 class TestRealnessProperties:
