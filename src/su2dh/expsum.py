@@ -111,27 +111,17 @@ class RationalPoleFunction:
         """Evaluate at a scalar or numpy array of nonzero reals."""
         import numpy as np
 
-        m = np.asarray(m, dtype=float)
-        out = np.zeros(m.shape, dtype=complex)
-        inv = 1.0 / m
-        power = np.ones_like(m)
-        for k in range(1, self.max_order + 1):
-            power = power * inv
-            a = self.coeffs.get(k)
-            if a is not None:
-                out = out + a * power
-        if out.shape == ():
-            return complex(out)
-        return out
+        out, _ = self._both_signs(np.asarray(m, dtype=float))
+        return complex(out) if out.shape == () else out
 
     def _both_signs(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """f(x) and f(-x) for a float array x, the same bits as ``self(x)`` and ``self(-x)``.
+        """f(x) and f(-x) for a float array x; f(-x) has the bits of ``self(-x)``.
 
-        One ladder of powers of 1/x serves both signs: 1/(-x) = -(1/x)
-        exactly, so a_k (-x)^{-k} is a_k x^{-k} negated for odd k, and it is
-        subtracted instead of added.  The two can differ only in the sign of
-        a zero, which a sum that starts at +0 never shows, since it cannot
-        become -0.
+        ``__call__`` returns the first.  One ladder of powers of 1/x serves
+        both signs: 1/(-x) = -(1/x) exactly, so a_k (-x)^{-k} is a_k x^{-k}
+        negated for odd k, and it is subtracted instead of added.  The two can
+        differ only in the sign of a zero, which a sum that starts at +0 never
+        shows, since it cannot become -0.
         """
         import numpy as np
 

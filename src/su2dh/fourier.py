@@ -18,18 +18,19 @@ with chi_n(exp(t*rho)) = sin(pi*(n+1)*t)/sin(pi*t) from the Weyl character
 formula (characters are real, so no conjugation is needed).  Both dim V_n and
 chi_n are computed from these formulas, never tabulated.
 
-The coefficients do not depend on t.  `reconstruct_density` keeps those for
-n < terms in a cache keyed by content (each component's mu and coefficients,
-and the term count), so the calls of a grid, or of both paths on one space,
-compute them once.  The cache holds at most 4 read-only entries of 16 bytes
-per term, 160 KB each at the default 10,000 terms.  Each entry also holds the
-relative imaginary residual max_n |Im c_n| / max_n |c_n|; reflection-symmetric
-data give about 1e-15, and a residual above `EvalOptions.imag_tolerance` is
-refused with `NonRealDensityError`, as the residue path refuses a branch.
-The weights n + 1 and the damping arrays depend only on the
-`SummationMethod`, so a second small cache keeps them per method.  Only the
-characters and the damped sums are computed per point, so a call on a warm
-cache gives the same value, to the bit, as one on a cold cache.
+The coefficients do not depend on t.  `reconstruct_density` computes those
+for n < terms once per space object and term count, and stores them on the
+space (see `model`), so the calls of a grid, or of both paths on one space,
+compute them once.  They are read-only and take 16 bytes per term for each
+term count used, on each live space: 160 KB at the default 10,000 terms.
+With them the space stores their relative imaginary residual
+max_n |Im c_n| / max_n |c_n|; reflection-symmetric data give about 1e-15,
+and a residual above `EvalOptions.imag_tolerance` is refused with
+`NonRealDensityError`, as the residue path refuses a branch.  The weights
+n + 1 and the damping arrays depend only on the `SummationMethod`, so a small
+cache keeps them per method.  Only the characters and the damped sums are
+computed per point, so a call on a warm space gives the same value, to the
+bit, as one on a cold space.
 
 For minimal-codimension data (coefficients starting at z^{-2}) the series is
 only conditionally convergent, so summation methods are provided: plain
@@ -58,13 +59,12 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
-from typing import TYPE_CHECKING, Callable
+from typing import TYPE_CHECKING, Callable, Sequence
 
 from .expsum import RationalPoleFunction
 from .extrapolation import abel_ladder, extrapolate_to_zero
-from .model import VOL_G, VOL_T, QHSpace, require_interior_alcove
+from .model import VOL_G, VOL_T, FixedComponent, QHSpace, require_interior_alcove
 from .residue import DEFAULT_OPTIONS, DensityOverflowError, EvalOptions, NonRealDensityError
 
 if TYPE_CHECKING:
@@ -111,15 +111,7 @@ class SummationMethod:
                 raise ValueError(f"abel_r values must lie in (0, 1), got {r!r}")
 
 
-_Family = tuple[tuple[Fraction, tuple[tuple[int, complex], ...]], ...]
-
-
-def _family(space: QHSpace) -> _Family:
-    """The space's localization content: each component's mu and coefficients."""
-    return tuple(comp.content for comp in space.components)
-
-
-def _localization_terms(family: _Family, weights: np.ndarray) -> np.ndarray:
+def _localization_terms(components: Sequence[FixedComponent], weights: np.ndarray) -> np.ndarray:
     """Coefficients <density, chi_n> for n + 1 = weights (a float array).
 
     The Weyl partner F' of a non-central component has mu_{F'} = -mu_F and
@@ -129,40 +121,40 @@ def _localization_terms(family: _Family, weights: np.ndarray) -> np.ndarray:
     import numpy as np
 
     total = np.zeros(weights.shape, dtype=complex)
-    for mu, coefficients in family:
-        f_pos, f_neg = RationalPoleFunction(dict(coefficients))._both_signs(weights)
-        phase = np.exp(1j * math.pi * float(mu) * weights)
+    for comp in components:
+        f_pos, f_neg = RationalPoleFunction(comp.euler_integral)._both_signs(weights)
+        phase = np.exp(1j * math.pi * float(comp.mu) * weights)
         total += weights * f_pos * phase
-        if mu not in (0, 1):
+        if not comp.central:
             total += weights * f_neg * np.conj(phase)
     return total
 
 
-# Bounded, because callers that load a fresh space per request would
-# otherwise grow the cache for the life of the process.  An entry holds
-# 16 bytes per term: 160 KB at the default 10,000 terms.
-@lru_cache(maxsize=4)
-def _coefficients(family: _Family, terms: int) -> tuple[np.ndarray, float]:
-    """Read-only <density, chi_n> for n < terms, keyed by content; and their realness.
+def _coefficients(space: QHSpace, terms: int) -> tuple[np.ndarray, float]:
+    """Read-only <density, chi_n> for n < terms, and their realness, stored on the space.
 
     The second value is max_n |Im c_n| / max_n |c_n| (0 if all vanish, inf
     if one overflowed).
     """
-    import numpy as np
+    entry = space._compiled.get(("fourier", terms))
+    if entry is None:
+        import numpy as np
 
-    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is judged below
-        values = _localization_terms(family, np.arange(1, terms + 1, dtype=float))
-    values.flags.writeable = False
-    if not np.all(np.isfinite(values)):
-        return values, math.inf
-    size = np.max(np.abs(values))
-    residual = float(np.max(np.abs(values.imag)) / size) if size else 0.0
-    return values, residual
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflow is judged below
+            values = _localization_terms(space.components, np.arange(1, terms + 1, dtype=float))
+        values.flags.writeable = False
+        if not np.all(np.isfinite(values)):
+            residual = math.inf
+        else:
+            size = np.max(np.abs(values))
+            residual = float(np.max(np.abs(values.imag)) / size) if size else 0.0
+        entry = space._compiled[("fourier", terms)] = values, residual
+    return entry
 
 
-# Bounded like the coefficient cache.  An entry holds 8 bytes per term for
-# the weights and 8 more per damping array: 320 KB for the default Abel
-# ladder at 10,000 terms.
+# Bounded, because a caller may try many methods.  An entry holds 8 bytes per
+# term for the weights and 8 more per damping array: 320 KB for the default
+# Abel ladder at 10,000 terms.
 @lru_cache(maxsize=4)
 def _ladder(
     method: SummationMethod,
@@ -196,7 +188,7 @@ def fourier_coefficient(space: QHSpace, n: int) -> complex:
         raise ValueError("n must be an integer >= 0")
     import numpy as np
 
-    value = _localization_terms(_family(space), np.array([float(n + 1)]))
+    value = _localization_terms(space.components, np.array([float(n + 1)]))
     return complex(value[0])
 
 
@@ -210,9 +202,9 @@ def reconstruct_density(
     """Sum the character series for the density at exp(t*rho), 0 < t < 1.
 
     The coefficients <density, chi_n>, n < ``method.terms``, do not depend
-    on ``t``; they come from a cache keyed by the space's content, so a grid
-    of calls on one space computes them once.  Their relative imaginary
-    residual max_n |Im c_n| / max_n |c_n| is judged against
+    on ``t``; they are computed on the first call and stored on the space
+    object, so a grid of calls on it computes them once.  Their relative
+    imaginary residual max_n |Im c_n| / max_n |c_n| is judged against
     ``options.imag_tolerance`` (the wall policy plays no part here), and
     :class:`NonRealDensityError` is raised above it.
 
@@ -223,7 +215,7 @@ def reconstruct_density(
     import numpy as np
 
     t = require_interior_alcove(t)
-    coefficients, residual = _coefficients(_family(space), method.terms)
+    coefficients, residual = _coefficients(space, method.terms)
     if residual == math.inf:
         raise DensityOverflowError(
             f"numeric overflow: space {space.name!r} has non-finite Fourier coefficients"

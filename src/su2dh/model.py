@@ -22,6 +22,13 @@ mu_F is held as an exact rational.  Whether a component is *central*
 (mu in {0, 1}, i.e. the moment map sends it to +-identity) decides a discrete
 factor 1/2 in every downstream formula, so it must never depend on a floating
 tolerance.
+
+Compiled data live on the object they are computed from: `residue` and
+`fourier` store a component's chamber branches, and a space's tables and
+Fourier coefficients, in its private `_compiled` dict.  Equality, `repr` and
+the space file ignore it, copies start without it, and no cache is keyed by
+content.  This is sound because the data cannot change: both classes are
+frozen, and `euler_integral` is read-only.
 """
 
 from __future__ import annotations
@@ -31,6 +38,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from types import MappingProxyType
 from typing import Any, Mapping, Union
 
 
@@ -59,12 +67,15 @@ class FixedComponent:
 
     ``euler_integral`` maps the power k >= 2 to the coefficient c_k of
     z^{-k}.  Coefficients are supplied signed: the orientation of the Euler
-    class is the caller's responsibility and is never guessed here.
+    class is the caller's responsibility and is never guessed here.  The
+    stored mapping is read-only (see the module docstring).
     """
 
     label: str
     mu: Fraction
     euler_integral: Mapping[int, complex]
+    # compiled branches that `residue` stores on first use; not part of the value
+    _compiled: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not isinstance(self.label, str) or not self.label:
@@ -98,7 +109,8 @@ class FixedComponent:
                     f"must be finite (got {value!r})"
                 )
             cleaned[k] = value
-        object.__setattr__(self, "euler_integral", dict(sorted(cleaned.items())))
+        frozen = MappingProxyType(dict(sorted(cleaned.items())))
+        object.__setattr__(self, "euler_integral", frozen)
 
     @property
     def central(self) -> bool:
@@ -109,10 +121,9 @@ class FixedComponent:
     def max_power(self) -> int:
         return max(self.euler_integral)
 
-    @property
-    def content(self) -> tuple[Fraction, tuple[tuple[int, complex], ...]]:
-        """``(mu, ((k, c_k), ...))``: all an evaluation reads, and the key its caches use."""
-        return self.mu, tuple(self.euler_integral.items())
+    def __reduce__(self):
+        # rebuilt from the value, without compiled data; a mappingproxy cannot be pickled
+        return FixedComponent, (self.label, self.mu, dict(self.euler_integral))
 
 
 @dataclass(frozen=True)
@@ -127,7 +138,7 @@ class QHSpace:
     name: str
     components: tuple[FixedComponent, ...]
     stabilizer_order: int
-    # compiled evaluation data that `residue` stores on first use; not part of the value
+    # tables that `residue` and `fourier` store on first use; not part of the value
     _compiled: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -152,6 +163,9 @@ class QHSpace:
             if c.label == label:
                 return c
         raise KeyError(label)
+
+    def __reduce__(self):
+        return QHSpace, (self.name, self.components, self.stabilizer_order)
 
 
 @dataclass(slots=True)

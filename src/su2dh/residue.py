@@ -29,10 +29,10 @@ function at u = 2*pi*i*z (DLMF 24.2.3), so with n = k - 2 - 2j >= 0
 
 with the minus sign below the wall and half = 1/2 for central components.
 Each R is an exact rational (`expsum.bernoulli_values`) rounded once, and
-each component is compiled into its two polynomials once (cached by
-content).  A wall's one-sided limit is then the choice of branch, and the
-central values at +e and -e, the t -> 0+ and t -> 1- limits of the two
-branches, are the linear coefficients of P_below and P_above divided by pi.
+each component object keeps its two polynomials from its first use.  A
+wall's one-sided limit is then the choice of branch, and the central values
+at +e and -e, the t -> 0+ and t -> 1- limits of the two branches, are the
+linear coefficients of P_below and P_above divided by pi.
 Central values are meaningful only when the central element is a regular
 value of the moment map, which the caller must assert; the code cannot
 verify it.  The above branch stays in x = 1 - t: re-expanding it about
@@ -53,16 +53,16 @@ the branches the call can reach; every point is then evaluated in real
 arithmetic.  A coefficient, density or volume that overflows raises
 `DensityOverflowError`.
 
-The interior table.  `density`, `scan` and `reduced_volume` read a table
-that each `QHSpace` object stores on its first interior evaluation: every
-component's compiled branches and the largest residual an interior point
-can reach.  Building it hashes each component's content once; a call then
-only compares that largest residual with its own
-`EvalOptions.imag_tolerance`.  The verdict is not stored, because the
-tolerance belongs to the call: a space that passes one call's tolerance
-may fail the next.  When the residual fails, the components are judged one
-by one in order, so the first at fault raises with the message that names
-it and its branch.
+Tables.  Compiled data live on the object they come from and die with it
+(see `model`).  Each `QHSpace` object stores one table per reach: "interior"
+for `density`, `scan` and `reduced_volume`, "below" for the values at +e and
+"above" for those at -e.  A table holds every component's compiled branches
+and the largest residual of the branches that reach allows, so a call only
+compares that residual with its own `EvalOptions.imag_tolerance`.  The
+verdict is not stored, because the tolerance belongs to the call: a space
+that passes one call's tolerance may fail the next.  When the residual
+fails, the components are judged one by one in order, so the first at fault
+raises with the message that names it and its branch.
 """
 
 from __future__ import annotations
@@ -72,7 +72,6 @@ import enum
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from typing import Iterable, Sequence
 
 from .model import (
@@ -183,26 +182,25 @@ def _branch(
     return real, max(abs(c.imag) for c in coeffs) / size if size else 0.0
 
 
-# Bounded, because callers that load a fresh space per request would
-# otherwise grow the cache for the life of the process.
-@lru_cache(maxsize=256)
-def _compile(mu: Fraction, coefficients: tuple[tuple[int, complex], ...]) -> _BranchPolynomials:
-    """Both branch polynomials of a component, keyed by its exact content."""
-    half = Fraction(1, 2) if mu in (0, 1) else Fraction(1)
-    below, r_below = _branch(coefficients, mu, -half)
-    above, r_above = _branch(coefficients, mu + 1, half)
-    return _BranchPolynomials(float(mu), below, above, {"below": r_below, "above": r_above})
-
-
-def _branch_polynomials(component: FixedComponent) -> _BranchPolynomials:
-    return _compile(*component.content)
+def _compile(component: FixedComponent) -> _BranchPolynomials:
+    """Both branch polynomials of a component, compiled on first use and stored on it."""
+    poly = component._compiled.get("branches")
+    if poly is None:
+        mu, coefficients = component.mu, tuple(component.euler_integral.items())
+        half = Fraction(1, 2) if component.central else Fraction(1)
+        below, r_below = _branch(coefficients, mu, -half)
+        above, r_above = _branch(coefficients, mu + 1, half)
+        residual = {"below": r_below, "above": r_above}
+        poly = _BranchPolynomials(float(mu), below, above, residual)
+        component._compiled["branches"] = poly
+    return poly
 
 
 def _judged(
     component: FixedComponent, branches: Sequence[str], options: EvalOptions
 ) -> tuple[_BranchPolynomials, float]:
     """Compiled branches and their largest residual; refuses an overflowed or non-real branch."""
-    poly = _branch_polynomials(component)
+    poly = _compile(component)
     branch = max(branches, key=poly.residual.__getitem__)
     if poly.residual[branch] == math.inf:
         raise DensityOverflowError(
@@ -217,32 +215,28 @@ def _judged(
     return poly, poly.residual[branch]
 
 
-_Interior = tuple[list[tuple[str, _BranchPolynomials]], float]
-
-
-def _reach(component: FixedComponent) -> list[str]:
-    """The branches an interior point can reach: a central component has only one."""
+def _branches(component: FixedComponent, reach: str) -> list[str]:
+    """The branches ``reach`` allows; an interior point reaches one of a central component's."""
+    if reach != "interior":
+        return [reach]
     return [b for b, edge in (("below", 0), ("above", 1)) if component.mu != edge]
 
 
-def _interior_table(components: Sequence[FixedComponent]) -> _Interior:
-    """Each component's label and compiled branches, and the largest residual they reach."""
-    compiled, residual = [], 0.0
-    for comp in components:
-        poly = _branch_polynomials(comp)
-        compiled.append((comp.label, poly))
-        residual = max(residual, *(poly.residual[b] for b in _reach(comp)))
-    return compiled, residual
-
-
-def _interior(space: QHSpace, options: EvalOptions) -> _Interior:
-    """The space's interior table, built on its first use and judged on every call."""
-    table = space._compiled.get("interior")
+def _table(
+    space: QHSpace, reach: str, options: EvalOptions
+) -> tuple[list[tuple[str, _BranchPolynomials]], float]:
+    """The space's table for ``reach`` (see the module docstring), judged on every call."""
+    table = space._compiled.get(reach)
     if table is None:
-        table = space._compiled["interior"] = _interior_table(space.components)
+        compiled, residual = [], 0.0
+        for comp in space.components:
+            poly = _compile(comp)
+            compiled.append((comp.label, poly))
+            residual = max(residual, *(poly.residual[b] for b in _branches(comp, reach)))
+        table = space._compiled[reach] = compiled, residual
     if table[1] > options.imag_tolerance:  # inf too: an overflowed branch
         for comp in space.components:  # the first component at fault raises
-            _judged(comp, _reach(comp), options)
+            _judged(comp, _branches(comp, reach), options)
     return table
 
 
@@ -288,14 +282,14 @@ def component_density(
     component: FixedComponent, t: float, options: EvalOptions = DEFAULT_OPTIONS
 ) -> float:
     """Contribution of one component to the density at exp(t*rho), 0 < t < 1."""
-    poly, residual = _judged(component, _reach(component), options)
+    poly, residual = _judged(component, _branches(component, "interior"), options)
     result = _evaluate([(component.label, poly)], residual, t, options)
     return result.per_component[component.label]
 
 
 def density(space: QHSpace, t: float, options: EvalOptions = DEFAULT_OPTIONS) -> DensityResult:
     """Density at exp(t*rho): sum of the per-component contributions."""
-    return _evaluate(*_interior(space, options), t, options)
+    return _evaluate(*_table(space, "interior", options), t, options)
 
 
 def component_central_density(
@@ -315,7 +309,9 @@ def central_density(
     space: QHSpace, which: CentralElement, options: EvalOptions = DEFAULT_OPTIONS
 ) -> float:
     """Density at the central element +e or -e (caller asserts regularity)."""
-    total = _fsum([component_central_density(comp, which, options) for comp in space.components])
+    branch = "below" if which is CentralElement.IDENTITY else "above"
+    compiled, _ = _table(space, branch, options)
+    total = _fsum([getattr(poly, branch)[0] / math.pi for _, poly in compiled])
     if not math.isfinite(total):
         raise _overflow(f"density at {which.value}")
     return total
@@ -365,7 +361,7 @@ def scan(
     alcove become error rows instead of aborting the scan; grid order is
     preserved.  Non-real data raise ``NonRealDensityError`` before any point.
     """
-    compiled, residual = _interior(space, options)
+    compiled, residual = _table(space, "interior", options)
     points: list[ScanPoint] = []
     for t in t_grid:
         try:

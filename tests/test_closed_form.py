@@ -12,6 +12,7 @@ from fractions import Fraction
 import mpmath
 
 from su2dh.expsum import RationalPoleFunction, exp_sum_residue
+from su2dh.model import FixedComponent
 from su2dh.residue import _compile, density
 from su2dh.spaces import make_product_space
 from conftest import exp_sum_reference
@@ -51,7 +52,7 @@ def test_compiled_branches_match_fifty_digits():
             mu = Fraction(rng.randint(0, 20), 20)
             powers = sorted(rng.sample(range(2, 12), k=rng.randint(1, 4)))
             coeffs = {k: complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for k in powers}
-            poly = _compile(mu, tuple(coeffs.items()))
+            poly = _compile(FixedComponent("c", mu, coeffs))
             for branch in ("below", "above"):
                 reference = branch_reference(mu, coeffs, branch)
                 size = max(abs(r) for r in reference)

@@ -27,6 +27,38 @@ class TestPoleFunction:
         assert f(2.0) == pytest.approx(1.0 - 0.125j)
         assert f(-2.0) == pytest.approx(-1.0 + 0.125j)
 
+    def test_evaluation_keeps_its_bits_and_shape(self, rng):
+        # f(m) comes from the ladder shared with f(-m); the plain ladder
+        # below is the reference for both
+        import numpy as np
+
+        def reference(f, m):
+            m = np.asarray(m, dtype=float)
+            out = np.zeros(m.shape, dtype=complex)
+            inv = 1.0 / m
+            power = np.ones_like(m)
+            for k in range(1, f.max_order + 1):
+                power = power * inv
+                a = f.coeffs.get(k)
+                if a is not None:
+                    out = out + a * power
+            return out
+
+        f = RationalPoleFunction(
+            {k: complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for k in (1, 2, 3, 6, 9)}
+        )
+        values = [rng.choice([-1, 1]) * rng.uniform(0.01, 50.0) for _ in range(12)]
+        inputs = (values[0], -3, np.array(values[1]), np.array(values), np.reshape(values, (3, 4)))
+        for m in inputs:
+            value, expected = f(m), reference(f, m)
+            if expected.shape == ():
+                assert type(value) is complex
+                value = np.asarray(value)
+            assert value.shape == expected.shape and value.dtype == expected.dtype
+            assert value.tobytes() == expected.tobytes()
+            _, negated = f._both_signs(np.asarray(m, dtype=float))
+            assert negated.tobytes() == reference(f, -np.asarray(m, dtype=float)).tobytes()
+
     def test_order_floor(self):
         with pytest.raises(ValueError):
             RationalPoleFunction({0: 1.0})

@@ -1,8 +1,10 @@
 """Fourier-localization oracle: coefficients, reconstruction, quadrature."""
 
 import cmath
+import gc
 import math
 import random
+import weakref
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -241,39 +243,56 @@ class TestReconstruction:
 
 
 class TestCoefficientCache:
+    """Each space object stores its coefficients per term count; they die with it."""
+
     METHOD = SummationMethod(terms=2000)
 
-    def setup_method(self):
-        fourier._coefficients.cache_clear()
+    @staticmethod
+    def counted(monkeypatch) -> list:
+        builds = []
+        build = fourier._localization_terms
 
-    def test_equal_spaces_share_an_entry(self, rng):
+        def counting(components, weights):
+            builds.append(len(weights))
+            return build(components, weights)
+
+        monkeypatch.setattr(fourier, "_localization_terms", counting)
+        return builds
+
+    def test_each_space_object_builds_its_own_coefficients(self, monkeypatch, rng):
         text = save_space(make_random_space(rng))
         first, second = load_space(text), load_space(text)
-        assert first is not second
-        reconstruct_density(first, 0.41, self.METHOD)
-        reconstruct_density(second, 0.63, self.METHOD)
-        info = fourier._coefficients.cache_info()
-        assert (info.hits, info.misses, info.currsize) == (1, 1, 1)
+        builds = self.counted(monkeypatch)
+        for space, t in ((first, 0.41), (second, 0.63), (first, 0.2), (second, 0.8)):
+            reconstruct_density(space, t, self.METHOD)
+        assert builds == [2000, 2000]
+        assert first == second
 
-    def test_cache_is_bounded(self, rng):
-        for _ in range(20):
-            reconstruct_density(make_random_space(rng), 0.37, self.METHOD)
-        info = fourier._coefficients.cache_info()
-        assert info.misses == 20
-        assert info.currsize <= info.maxsize <= 8
+    def test_terms_are_part_of_the_key(self, monkeypatch):
+        builds = self.counted(monkeypatch)
+        space = make_s4()
+        for terms in (1000, 2000, 1000, 2000):
+            reconstruct_density(space, 0.37, SummationMethod(terms=terms))
+        assert builds == [1000, 2000]
 
-    def test_terms_are_part_of_the_key(self):
-        for terms in (1000, 2000, 1000):
-            reconstruct_density(make_s4(), 0.37, SummationMethod(terms=terms))
-        info = fourier._coefficients.cache_info()
-        assert (info.hits, info.misses, info.currsize) == (1, 2, 2)
+    def test_coefficients_die_with_the_space(self):
+        space = make_s4()
+        reconstruct_density(space, 0.37, self.METHOD)
+        values = weakref.ref(fourier._coefficients(space, self.METHOD.terms)[0])
+        assert values() is not None
+        del space
+        gc.collect()
+        assert values() is None
 
     def test_cached_arrays_are_read_only(self):
-        reconstruct_density(make_s4(), 0.37, self.METHOD)
-        values, _ = fourier._coefficients(fourier._family(make_s4()), self.METHOD.terms)
-        assert fourier._coefficients.cache_info().hits == 1
-        with pytest.raises(ValueError):
-            values[0] = 0.0
+        space = make_s4()
+        reconstruct_density(space, 0.37, self.METHOD)
+        values, _ = fourier._coefficients(space, self.METHOD.terms)
+        assert fourier._coefficients(space, self.METHOD.terms)[0] is values
+        weights, ladder = fourier._ladder(SummationMethod())
+        for array in (values, weights, *(damping for _, damping in ladder)):
+            with pytest.raises(ValueError):
+                array[0] = 0.0
 
     def test_warm_values_equal_cold_values_bit_for_bit(self, rng):
         space = make_random_space(rng)
@@ -284,8 +303,8 @@ class TestCoefficientCache:
         ):
             reconstruct_density(space, 0.21, method)
             warm = reconstruct_density(space, 0.58, method)
-            fourier._coefficients.cache_clear()
-            cold = reconstruct_density(space, 0.58, method)
+            fresh = QHSpace(space.name, space.components, space.stabilizer_order)
+            cold = reconstruct_density(fresh, 0.58, method)
             assert warm.hex() == cold.hex()
 
 

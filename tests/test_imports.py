@@ -1,5 +1,6 @@
 """Layering: no library module imports the Laurent-series engine, which is
-the tests' reference, and numpy stays off the residue path's start-up."""
+the tests' reference, numpy stays off the residue path's start-up, and only
+small frozen configurations key a functools cache."""
 
 import ast
 import os
@@ -48,6 +49,64 @@ def test_the_guard_sees_each_spelling(tmp_path):
         module = tmp_path / f"m{i}.py"
         module.write_text(line + "\n", encoding="utf-8")
         assert imports_series(module), line
+
+
+_CACHES = {"lru_cache", "cache"}
+
+
+def cached_functions(path: Path) -> list[str]:
+    """Names of the functions a module decorates with a functools cache.
+
+    Import aliases are followed.  A cache applied other than as a decorator,
+    such as ``lru_cache(maxsize=4)(f)``, is listed as ``"?"``.
+    """
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    names = set(_CACHES)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "functools":
+            names.update(a.asname for a in node.names if a.name in _CACHES and a.asname)
+
+    def is_cache(node: ast.AST) -> bool:
+        return (isinstance(node, ast.Name) and node.id in names) or (
+            isinstance(node, ast.Attribute) and node.attr in _CACHES
+        )
+
+    decorated = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            for decorator in node.decorator_list:
+                if any(map(is_cache, ast.walk(decorator))):
+                    decorated.append(node.name)
+    uses = sum(map(is_cache, ast.walk(tree)))
+    return decorated + ["?"] * (uses - len(decorated))
+
+
+def test_only_small_frozen_configurations_key_a_cache():
+    # compiled data live on the component or space they come from, never in
+    # a cache keyed by content; the two caches left are keyed by a
+    # SummationMethod and a point count
+    cached = {
+        f"{path.name}:{name}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for name in cached_functions(path)
+    }
+    assert cached == {"fourier.py:_ladder", "fourier.py:_gauss_nodes"}
+
+
+def test_the_cache_guard_sees_each_spelling(tmp_path):
+    spellings = {
+        "from functools import lru_cache\n@lru_cache(maxsize=4)\ndef f(x): pass": ["f"],
+        "import functools\n@functools.lru_cache\ndef f(x): pass": ["f"],
+        "from functools import cache\n@cache\ndef f(x): pass": ["f"],
+        "import functools\n@functools.cache\nasync def f(x): pass": ["f"],
+        "from functools import lru_cache as memo\n@memo()\ndef f(x): pass": ["f"],
+        "from functools import lru_cache\ndef f(x): pass\ng = lru_cache(maxsize=4)(f)": ["?"],
+        "import functools\ndef f(x): pass": [],
+    }
+    for i, (text, expected) in enumerate(spellings.items()):
+        module = tmp_path / f"m{i}.py"
+        module.write_text(text + "\n", encoding="utf-8")
+        assert cached_functions(module) == expected, text
 
 
 # A fresh interpreter runs cli.main on the arguments (none: only

@@ -1,7 +1,9 @@
 """Data model: validation, constants, space-file round trips."""
 
+import copy
 import json
 import math
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -17,6 +19,8 @@ from su2dh.model import (
     require_interior_alcove,
     save_space,
 )
+from su2dh.fourier import SummationMethod, reconstruct_density
+from su2dh.residue import density
 from su2dh.spaces import make_product_space, make_s4
 from conftest import make_random_space
 
@@ -65,6 +69,20 @@ class TestFixedComponent:
     def test_non_finite_coefficients_rejected(self, bad):
         with pytest.raises(SpaceFormatError, match="power 4 must be finite"):
             FixedComponent("a", Fraction(1, 2), {2: 1.0, 4: bad})
+
+    def test_copies_are_rebuilt_from_the_value(self, rng):
+        # the read-only mapping cannot be pickled itself, and compiled data
+        # stay with the object they were computed from
+        space = make_random_space(rng, n_components=3)
+        density(space, 0.37)
+        reconstruct_density(space, 0.37, SummationMethod(terms=100))
+        for copied in (pickle.loads(pickle.dumps(space)), copy.deepcopy(space)):
+            assert copied == space and repr(copied) == repr(space)
+            assert copied._compiled == {}
+            assert all(c._compiled == {} for c in copied.components)
+            with pytest.raises(TypeError):
+                copied.components[0].euler_integral[2] = 1.0
+            assert density(copied, 0.37) == density(space, 0.37)
 
 
 class TestSpaceValidation:

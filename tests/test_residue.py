@@ -1,9 +1,11 @@
 """Residue evaluation path: golden values, walls, central elements, properties."""
 
 import dataclasses
+import gc
 import math
 import random
 import struct
+import weakref
 from fractions import Fraction
 from pathlib import Path
 
@@ -29,7 +31,6 @@ from su2dh.residue import (
     ScanPoint,
     WallError,
     WallPolicy,
-    _branch_polynomials,
     _compile,
     central_density,
     component_central_density,
@@ -231,7 +232,7 @@ class TestCentral:
         offsets = [1e-2, 1e-3, 1e-4]
 
         def branch_density(comp, t, branch):
-            return _branch_polynomials(comp).at(t, branch) / math.sin(math.pi * t)
+            return _compile(comp).at(t, branch) / math.sin(math.pi * t)
 
         for _ in range(8):
             space = make_random_space(rng, n_components=1)
@@ -275,7 +276,7 @@ class TestChamberPolynomials:
     def test_branches_match_per_point_series(self, rng):
         for _ in range(20):
             comp = make_random_space(rng, n_components=1).components[0]
-            poly = _branch_polynomials(comp)
+            poly = _compile(comp)
             for t in (0.03, 0.3, 0.5, 0.77, 0.97):
                 for branch in ("below", "above"):
                     expected = series_branch_value(comp, t, branch)
@@ -313,16 +314,29 @@ class TestChamberPolynomials:
                 walls_checked += 1
         assert walls_checked >= 20
 
-    def test_each_component_is_compiled_once(self):
-        _compile.cache_clear()
-        space = make_s4()
-        scan(space, GRID)
-        density(space, 0.3)
-        central_density(space, CentralElement.IDENTITY)
-        reduced_volume(space, CentralElement.MINUS_IDENTITY)
-        info = _compile.cache_info()
-        assert info.misses == len(space.components)
-        assert info.maxsize is not None
+    def test_each_component_is_compiled_once(self, monkeypatch, rng):
+        # once per component object, whichever entry point comes first; both
+        # branches are compiled together
+        branches = []
+        compile_branch = residue_module._branch
+
+        def counting(*args):
+            branches.append(args)
+            return compile_branch(*args)
+
+        monkeypatch.setattr(residue_module, "_branch", counting)
+        space = make_random_space(rng, n_components=3)
+        for _ in range(2):
+            for comp in space.components:
+                component_density(comp, 0.37)
+                component_central_density(comp, CentralElement.MINUS_IDENTITY)
+            scan(space, GRID, EvalOptions(wall_policy=WallPolicy.LEFT_LIMIT))
+            density(space, 0.37)
+            reduced_volume(space, 0.37)
+            for which in CentralElement:
+                central_density(space, which)
+                reduced_volume(space, which)
+        assert len(branches) == 2 * len(space.components)
 
 
 class TestReducedVolume:
@@ -452,51 +466,82 @@ class TestScanRows:
 
 
 class TestInteriorTable:
-    """Each space object compiles its interior branches once; every call judges them."""
+    """Each space object keeps one table per reach; every call judges it."""
 
-    @staticmethod
-    def counted(monkeypatch) -> list:
-        builds = []
-        build = residue_module._interior_table
-
-        def counting(components):
-            builds.append([c.label for c in components])
-            return build(components)
-
-        monkeypatch.setattr(residue_module, "_interior_table", counting)
-        return builds
-
-    def test_table_is_built_once_per_space_object(self, monkeypatch):
-        builds = self.counted(monkeypatch)
+    def test_table_is_built_once_per_space_object(self):
         space = make_product_space(5)
+        density(space, 0.5)
+        table = space._compiled["interior"]
         for i in range(100):
             density(space, (i + 0.5) / 100)
         scan(space, GRID)
         reduced_volume(space, 0.3)
-        assert builds == [[c.label for c in space.components]]
+        assert space._compiled["interior"] is table
+        for which in CentralElement:
+            central_density(space, which)
+        tables = dict(space._compiled)
+        assert sorted(tables) == ["above", "below", "interior"]
+        for which in CentralElement:
+            central_density(space, which)
+            reduced_volume(space, which)
+        assert all(space._compiled[reach] is tables[reach] for reach in tables)
 
-    def test_equal_spaces_build_a_table_each_and_share_compiles(self, monkeypatch, rng):
+    def test_equal_objects_compile_their_own_data(self, rng):
         text = save_space(make_random_space(rng, n_components=3))
         first, second = load_space(text), load_space(text)
-        contents = {c.content for c in first.components}
-        builds = self.counted(monkeypatch)
-        _compile.cache_clear()
-        density(first, 0.37)
-        density(second, 0.41)
-        scan(first, GRID, EvalOptions(wall_policy=WallPolicy.LEFT_LIMIT))
-        assert len(builds) == 2
-        info = _compile.cache_info()
-        assert (info.misses, info.hits) == (len(contents), len(first.components))
-        # the table is not part of the value
+        for space in (first, second):
+            density(space, 0.37)
+            central_density(space, CentralElement.IDENTITY)
+        for a, b in zip(first.components, second.components):
+            assert a == b and _compile(a) is not _compile(b)
+        assert first._compiled["interior"] is not second._compiled["interior"]
+        # the compiled data are not part of the value
         fresh = load_space(text)
         assert first == second == fresh
         assert repr(first) == repr(fresh)
         assert save_space(first) == text
 
+    def test_compiled_data_die_with_the_space(self, rng):
+        space = make_random_space(rng, n_components=3)
+        density(space, 0.37)
+        central_density(space, CentralElement.MINUS_IDENTITY)
+        compiled = [weakref.ref(_compile(comp)) for comp in space.components]
+        assert all(poly() is not None for poly in compiled)
+        del space
+        gc.collect()
+        assert all(poly() is None for poly in compiled)
+
+    def test_warm_values_equal_cold_values_bit_for_bit(self, rng):
+        # a fresh equal object is cold; its values must be the warm object's, bit for bit
+        def values(space):
+            grid = [0.05 * i for i in range(-1, 22)]
+            rows = [
+                packed(r.t, r.error, r.volume) + (density_bytes(r.result) if r.result else ())
+                for r in scan(space, grid, EvalOptions(wall_policy=WallPolicy.RIGHT_LIMIT))
+            ]
+            central = [central_density(space, which) for which in CentralElement]
+            volumes = [reduced_volume(space, which) for which in CentralElement]
+            return rows, packed(*central, *volumes, density(space, 0.37).total)
+
+        for _ in range(10):
+            space = make_random_space(rng)
+            values(space)
+            warm = values(space)
+            assert warm == values(load_space(save_space(space)))
+
+    def test_euler_integral_is_read_only(self):
+        # a changed coefficient would leave the stored compile answering stale values
+        space = make_s4()
+        before = density(space, 0.3)
+        with pytest.raises(TypeError):
+            space.components[0].euler_integral[2] = 5.0
+        assert density(space, 0.3) == before
+        assert density(space, 0.3) == density(load_space(save_space(space)), 0.3)
+
     def test_tolerance_is_judged_on_every_call(self):
         comp = FixedComponent("c", Fraction(3, 10), {2: 1.0, 3: 1e-6})
         space = QHSpace("mixed", (FixedComponent("a", Fraction(1, 2), {2: 1.0}), comp), 1)
-        poly = _branch_polynomials(comp)
+        poly = _compile(comp)
         branch = max(("below", "above"), key=poly.residual.__getitem__)
         residual = poly.residual[branch]
         assert 1e-9 < residual < 1e-3
@@ -517,6 +562,15 @@ class TestInteriorTable:
                 with pytest.raises(NonRealDensityError) as info:
                     call()
                 assert str(info.value) == message
+            # +e reaches only the below branch, -e only the above one
+            for which, side in zip(CentralElement, ("below", "above")):
+                assert math.isfinite(central_density(space, which, loose))
+                with pytest.raises(NonRealDensityError) as info:
+                    central_density(space, which, tight)
+                assert str(info.value) == (
+                    f"non-real density (check input data): component 'c' has relative "
+                    f"imaginary residual {poly.residual[side]:.3e} on its {side} branch"
+                )
 
     def test_first_component_at_fault_is_named(self):
         # 'b' has the larger residual, but 'a' comes first in component order
@@ -531,6 +585,9 @@ class TestInteriorTable:
         for _ in range(2):
             with pytest.raises(NonRealDensityError, match="component 'a'"):
                 density(space, 0.5)
+            for which in CentralElement:
+                with pytest.raises(NonRealDensityError, match="component 'a'"):
+                    central_density(space, which)
 
     def test_overflowed_branch_is_refused_on_every_call(self):
         space = TestOverflow.space(1e308)
@@ -541,6 +598,8 @@ class TestInteriorTable:
                 lambda: density(space, 0.5, loosest),
                 lambda: scan(space, [0.5], loosest),
                 lambda: reduced_volume(space, 0.5),
+                lambda: central_density(space, CentralElement.IDENTITY, loosest),
+                lambda: reduced_volume(space, CentralElement.MINUS_IDENTITY, loosest),
             ):
                 with pytest.raises(DensityOverflowError, match="component 'a' has coefficients"):
                     call()
@@ -591,7 +650,7 @@ class TestRealnessProperties:
     @settings(max_examples=300, deadline=None)
     @given(symmetric_components())
     def test_symmetric_data_compile_to_exactly_real_branches(self, comp):
-        assert _branch_polynomials(comp).residual == {"below": 0.0, "above": 0.0}
+        assert _compile(comp).residual == {"below": 0.0, "above": 0.0}
 
     @settings(max_examples=200, deadline=None)
     @given(odd_real_components())
