@@ -109,6 +109,8 @@ class SummationMethod:
         for r in self.abel_r:
             if not (0.0 < r < 1.0):
                 raise ValueError(f"abel_r values must lie in (0, 1), got {r!r}")
+        if len({1.0 - r for r in self.abel_r}) != len(self.abel_r):
+            raise ValueError(f"abel_r must give distinct nodes 1 - r, got {self.abel_r!r}")
 
 
 def _localization_terms(components: Sequence[FixedComponent], weights: np.ndarray) -> np.ndarray:
@@ -258,8 +260,11 @@ class QuadratureRule:
     max_refinements: int = 12
 
     def __post_init__(self) -> None:
-        if self.points < 2:
+        points, refinements = self.points, self.max_refinements
+        if not isinstance(points, int) or isinstance(points, bool) or points < 2:
             raise ValueError("quadrature needs at least 2 points per panel")
+        if not isinstance(refinements, int) or isinstance(refinements, bool) or refinements < 1:
+            raise ValueError("max_refinements must be an integer >= 1")
 
 
 @dataclass(frozen=True)

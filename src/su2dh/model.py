@@ -24,11 +24,11 @@ factor 1/2 in every downstream formula, so it must never depend on a floating
 tolerance.
 
 Compiled data live on the object they are computed from: `residue` and
-`fourier` store a component's chamber branches, and a space's tables and
-Fourier coefficients, in its private `_compiled` dict.  Equality, `repr` and
-the space file ignore it, copies start without it, and no cache is keyed by
-content.  This is sound because the data cannot change: both classes are
-frozen, and `euler_integral` is read-only.
+`fourier` store a component's chamber branches and one-row tables, and a
+space's tables and Fourier coefficients, in its private `_compiled` dict.
+Equality, `repr` and the space file ignore it, copies start without it, and
+no cache is keyed by content.  This is sound because the data cannot change:
+both classes are frozen, and `euler_integral` is a read-only dict.
 """
 
 from __future__ import annotations
@@ -38,7 +38,6 @@ import json
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from types import MappingProxyType
 from typing import Any, Mapping, Union
 
 
@@ -61,6 +60,23 @@ def require_interior_alcove(t: float) -> float:
     return t
 
 
+class _ReadOnlyDict(dict):
+    """A dict whose mutators raise TypeError.
+
+    Unlike a mappingproxy, it can be read by `dataclasses.asdict`, pickled
+    and copied.
+    """
+
+    def _refuse(self, *args, **kwargs):
+        raise TypeError("Euler integral coefficients are read-only")
+
+    __setitem__ = __delitem__ = __ior__ = _refuse
+    clear = pop = popitem = setdefault = update = _refuse
+
+    def __reduce__(self):
+        return _ReadOnlyDict, (dict(self),)
+
+
 @dataclass(frozen=True)
 class FixedComponent:
     """One fixed-point component inside the alcove.
@@ -74,7 +90,7 @@ class FixedComponent:
     label: str
     mu: Fraction
     euler_integral: Mapping[int, complex]
-    # compiled branches that `residue` stores on first use; not part of the value
+    # compiled branches and tables that `residue` stores on first use; not part of the value
     _compiled: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -109,8 +125,7 @@ class FixedComponent:
                     f"must be finite (got {value!r})"
                 )
             cleaned[k] = value
-        frozen = MappingProxyType(dict(sorted(cleaned.items())))
-        object.__setattr__(self, "euler_integral", frozen)
+        object.__setattr__(self, "euler_integral", _ReadOnlyDict(sorted(cleaned.items())))
 
     @property
     def central(self) -> bool:
@@ -122,7 +137,7 @@ class FixedComponent:
         return max(self.euler_integral)
 
     def __reduce__(self):
-        # rebuilt from the value, without compiled data; a mappingproxy cannot be pickled
+        # rebuilt from the value, without compiled data
         return FixedComponent, (self.label, self.mu, dict(self.euler_integral))
 
 

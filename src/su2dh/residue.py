@@ -54,15 +54,17 @@ arithmetic.  A coefficient, density or volume that overflows raises
 `DensityOverflowError`.
 
 Tables.  Compiled data live on the object they come from and die with it
-(see `model`).  Each `QHSpace` object stores one table per reach: "interior"
-for `density`, `scan` and `reduced_volume`, "below" for the values at +e and
-"above" for those at -e.  A table holds every component's compiled branches
-and the largest residual of the branches that reach allows, so a call only
-compares that residual with its own `EvalOptions.imag_tolerance`.  The
-verdict is not stored, because the tolerance belongs to the call: a space
-that passes one call's tolerance may fail the next.  When the residual
-fails, the components are judged one by one in order, so the first at fault
-raises with the message that names it and its branch.
+(see `model`).  Each `QHSpace` object, and each `FixedComponent` object that
+the `component_*` functions see, stores one table per reach: "interior" for
+interior points, "below" for the values at +e and "above" for those at -e.
+A table holds its components' compiled branches (one row for a component)
+and the largest residual of the branches that reach allows, judged from the
+exact mu, so a warm call only compares that residual with its own
+`EvalOptions.imag_tolerance`.  The verdict is not stored, because the
+tolerance belongs to the call.  A cold call, or one whose tolerance the
+residual fails, runs one loop that builds and judges the rows in order, so
+the first component at fault raises with the message that names it and its
+branch; a table is stored once every row has passed.
 """
 
 from __future__ import annotations
@@ -196,25 +198,6 @@ def _compile(component: FixedComponent) -> _BranchPolynomials:
     return poly
 
 
-def _judged(
-    component: FixedComponent, branches: Sequence[str], options: EvalOptions
-) -> tuple[_BranchPolynomials, float]:
-    """Compiled branches and their largest residual; refuses an overflowed or non-real branch."""
-    poly = _compile(component)
-    branch = max(branches, key=poly.residual.__getitem__)
-    if poly.residual[branch] == math.inf:
-        raise DensityOverflowError(
-            f"numeric overflow: component {component.label!r} has coefficients beyond the "
-            f"float range on its {branch} branch"
-        )
-    if poly.residual[branch] > options.imag_tolerance:
-        raise NonRealDensityError(
-            f"non-real density (check input data): component {component.label!r} has "
-            f"relative imaginary residual {poly.residual[branch]:.3e} on its {branch} branch"
-        )
-    return poly, poly.residual[branch]
-
-
 def _branches(component: FixedComponent, reach: str) -> list[str]:
     """The branches ``reach`` allows; an interior point reaches one of a central component's."""
     if reach != "interior":
@@ -223,21 +206,32 @@ def _branches(component: FixedComponent, reach: str) -> list[str]:
 
 
 def _table(
-    space: QHSpace, reach: str, options: EvalOptions
+    owner: QHSpace | FixedComponent, reach: str, options: EvalOptions
 ) -> tuple[list[tuple[str, _BranchPolynomials]], float]:
-    """The space's table for ``reach`` (see the module docstring), judged on every call."""
-    table = space._compiled.get(reach)
-    if table is None:
-        compiled, residual = [], 0.0
-        for comp in space.components:
-            poly = _compile(comp)
-            compiled.append((comp.label, poly))
-            residual = max(residual, *(poly.residual[b] for b in _branches(comp, reach)))
-        table = space._compiled[reach] = compiled, residual
-    if table[1] > options.imag_tolerance:  # inf too: an overflowed branch
-        for comp in space.components:  # the first component at fault raises
-            _judged(comp, _branches(comp, reach), options)
-    return table
+    """The owner's table for ``reach`` (see the module docstring), judged on every call."""
+    table = owner._compiled.get(reach)
+    if table is not None and table[1] <= options.imag_tolerance:
+        return table
+    # cold, or over the tolerance: then some row raises, and the stored table is kept
+    compiled, largest = [], 0.0
+    for comp in owner.components if isinstance(owner, QHSpace) else (owner,):
+        poly = _compile(comp)
+        branch = max(_branches(comp, reach), key=poly.residual.__getitem__)
+        residual = poly.residual[branch]
+        if residual == math.inf:
+            raise DensityOverflowError(
+                f"numeric overflow: component {comp.label!r} has coefficients beyond the "
+                f"float range on its {branch} branch"
+            )
+        if residual > options.imag_tolerance:
+            raise NonRealDensityError(
+                f"non-real density (check input data): component {comp.label!r} has "
+                f"relative imaginary residual {residual:.3e} on its {branch} branch"
+            )
+        compiled.append((comp.label, poly))
+        largest = max(largest, residual)
+    owner._compiled[reach] = compiled, largest
+    return compiled, largest
 
 
 def _fsum(values: Iterable[float]) -> float:
@@ -282,14 +276,25 @@ def component_density(
     component: FixedComponent, t: float, options: EvalOptions = DEFAULT_OPTIONS
 ) -> float:
     """Contribution of one component to the density at exp(t*rho), 0 < t < 1."""
-    poly, residual = _judged(component, _branches(component, "interior"), options)
-    result = _evaluate([(component.label, poly)], residual, t, options)
+    result = _evaluate(*_table(component, "interior", options), t, options)
     return result.per_component[component.label]
 
 
 def density(space: QHSpace, t: float, options: EvalOptions = DEFAULT_OPTIONS) -> DensityResult:
     """Density at exp(t*rho): sum of the per-component contributions."""
     return _evaluate(*_table(space, "interior", options), t, options)
+
+
+def _central(
+    owner: QHSpace | FixedComponent, which: CentralElement, options: EvalOptions
+) -> float:
+    """The owner's density at ``which``: its rows' linear coefficients on that branch, over pi."""
+    branch = "below" if which is CentralElement.IDENTITY else "above"
+    compiled, _ = _table(owner, branch, options)
+    total = _fsum([getattr(poly, branch)[0] / math.pi for _, poly in compiled])
+    if not math.isfinite(total):
+        raise _overflow(f"density at {which.value}")
+    return total
 
 
 def component_central_density(
@@ -300,21 +305,14 @@ def component_central_density(
     Valid only when the central element is a regular value of the moment
     map; this hypothesis cannot be checked from localization data.
     """
-    branch = "below" if which is CentralElement.IDENTITY else "above"
-    poly, _ = _judged(component, [branch], options)
-    return getattr(poly, branch)[0] / math.pi
+    return _central(component, which, options)
 
 
 def central_density(
     space: QHSpace, which: CentralElement, options: EvalOptions = DEFAULT_OPTIONS
 ) -> float:
     """Density at the central element +e or -e (caller asserts regularity)."""
-    branch = "below" if which is CentralElement.IDENTITY else "above"
-    compiled, _ = _table(space, branch, options)
-    total = _fsum([getattr(poly, branch)[0] / math.pi for _, poly in compiled])
-    if not math.isfinite(total):
-        raise _overflow(f"density at {which.value}")
-    return total
+    return _central(space, which, options)
 
 
 def interior_volume(space: QHSpace, t: float, density_value: float) -> float:

@@ -260,21 +260,26 @@ class TestEval:
         )
         assert proc.stdout == "" and "non-real density" in proc.stderr
 
+    BIG = tuple(FixedComponent(label, Fraction(1, 4), {2: 1e308}) for label in "ab")
+    # each is about -5.33e307 at e, so only their sum overflows
+    SUMMED = tuple(FixedComponent(f"c{i}", Fraction(i, 5), {2: 1.2e307}) for i in range(1, 5))
+
     @pytest.mark.parametrize(
         "command",
         [
-            ("eval", "--t", "0.5", "--mode", "both"),
-            ("eval", "--t", "0.5", "--mode", "fourier"),
-            ("central", "--at", "e"),
+            (("eval", "--t", "0.5", "--mode", "both"), BIG),
+            (("eval", "--t", "0.5", "--mode", "fourier"), BIG),
+            (("central", "--at", "e"), BIG),
+            (("central", "--at", "e"), SUMMED),
         ],
     )
     def test_overflow_is_a_numeric_failure(self, command):
         # finite data whose densities overflow; `eval --mode both` printed
         # 0.5,inf,inf,inf,inf,nan,nan with exit 0
-        big = tuple(FixedComponent(label, Fraction(1, 4), {2: 1e308}) for label in "ab")
+        (name, *flags), components = command
         proc = run_cli(
-            command[0], "--space", "/dev/stdin", *command[1:], expect=3,
-            input=save_space(QHSpace("big", big, 1)),
+            name, "--space", "/dev/stdin", *flags, expect=3,
+            input=save_space(QHSpace("big", components, 1)),
         )
         assert proc.stdout == "" and "error: numeric overflow" in proc.stderr
         assert "Warning" not in proc.stderr

@@ -174,6 +174,14 @@ class TestReconstruction:
         with pytest.raises(ValueError):
             SummationMethod(abel_r=())
 
+    @pytest.mark.parametrize("kind", ["abel", "partial", "cesaro"])
+    @pytest.mark.parametrize("radii", [(0.99, 0.99), (0.999, 0.99, 0.999), (1e-20, 2e-20)])
+    def test_repeated_nodes_are_refused(self, kind, radii):
+        # the nodes 1 - r must be distinct, whatever the kind; the extrapolation
+        # would otherwise refuse them in every call, after the coefficients are built
+        with pytest.raises(ValueError, match=r"abel_r must give distinct nodes 1 - r"):
+            SummationMethod(kind=kind, terms=100, abel_r=radii)
+
     def test_default_nodes_are_the_abel_ladder(self):
         assert SummationMethod().abel_r == tuple(1.0 - h for h in abel_ladder(0.999, 2))
         assert SummationMethod().abel_r == pytest.approx((0.999, 0.998, 0.996), abs=1e-15)
@@ -337,6 +345,33 @@ class TestQuadrature:
     def test_rule_validation(self):
         with pytest.raises(ValueError):
             coefficient_quadrature(lambda t: 0.0, -1)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("points", 1),
+            ("points", 2.5),
+            ("points", True),
+            ("max_refinements", -1),
+            ("max_refinements", 0),
+            ("max_refinements", 2.5),
+            ("max_refinements", True),
+        ],
+    )
+    def test_rule_fields_are_checked(self, field, value):
+        # refused here, not later in coefficient_quadrature as an UnboundLocalError,
+        # a QuadratureError about a change of 0, or a TypeError from numpy or range
+        message = {
+            "points": "quadrature needs at least 2 points per panel",
+            "max_refinements": "max_refinements must be an integer >= 1",
+        }[field]
+        with pytest.raises(ValueError, match=message):
+            QuadratureRule(**{field: value})
+
+    def test_smallest_rule_converges(self):
+        rule = QuadratureRule(points=2, max_refinements=1)
+        result = coefficient_quadrature(lambda t: 0.0, 0, rule)
+        assert (result.value, result.panels) == (0.0, 2)
 
     def test_non_convergence_is_flagged(self):
         # a non-integrable interior singularity defeats panel refinement

@@ -1,6 +1,7 @@
 """Data model: validation, constants, space-file round trips."""
 
 import copy
+import dataclasses
 import json
 import math
 import pickle
@@ -71,8 +72,7 @@ class TestFixedComponent:
             FixedComponent("a", Fraction(1, 2), {2: 1.0, 4: bad})
 
     def test_copies_are_rebuilt_from_the_value(self, rng):
-        # the read-only mapping cannot be pickled itself, and compiled data
-        # stay with the object they were computed from
+        # compiled data stay with the object they were computed from
         space = make_random_space(rng, n_components=3)
         density(space, 0.37)
         reconstruct_density(space, 0.37, SummationMethod(terms=100))
@@ -83,6 +83,22 @@ class TestFixedComponent:
             with pytest.raises(TypeError):
                 copied.components[0].euler_integral[2] = 1.0
             assert density(copied, 0.37) == density(space, 0.37)
+
+    def test_asdict_reads_the_value(self):
+        # asdict deep-copies a field value that is not a dict, list, tuple or dataclass,
+        # and a mappingproxy cannot be copied
+        space = make_product_space(3)
+        density(space, 0.37)
+        reconstruct_density(space, 0.37, SummationMethod(terms=100))
+        record = dataclasses.asdict(space)
+        assert (record["name"], record["stabilizer_order"]) == (space.name, space.stabilizer_order)
+        for comp, entry in zip(space.components, record["components"]):
+            assert dataclasses.asdict(comp)["euler_integral"] == entry["euler_integral"]
+            assert entry["euler_integral"] == dict(comp.euler_integral)
+            assert (entry["label"], entry["mu"]) == (comp.label, comp.mu)
+        assert repr(space.components[0]).endswith(
+            f"euler_integral={dict(space.components[0].euler_integral)!r})"
+        )
 
 
 class TestSpaceValidation:

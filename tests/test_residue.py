@@ -529,6 +529,53 @@ class TestInteriorTable:
             warm = values(space)
             assert warm == values(load_space(save_space(space)))
 
+    def test_component_keeps_a_table_per_reach(self, monkeypatch):
+        # component_* calls judge one-row tables stored on the component, not
+        # a fresh compile per call
+        compiles = []
+        compile_component = residue_module._compile
+
+        def counting(comp):
+            compiles.append(comp)
+            return compile_component(comp)
+
+        monkeypatch.setattr(residue_module, "_compile", counting)
+        comp = FixedComponent("c", Fraction(3, 10), {2: 1.0, 3: 0.5j, 4: -0.25})
+        for _ in range(100):
+            component_density(comp, 0.37)
+            for which in CentralElement:
+                component_central_density(comp, which)
+        assert sorted(comp._compiled) == ["above", "below", "branches", "interior"]
+        assert len(compiles) == 3  # one per table, each of one row
+        tables = dict(comp._compiled)
+        for i in range(100):
+            component_density(comp, (i + 0.5) / 100, EvalOptions(wall_policy=WallPolicy.LEFT_LIMIT))
+            for which in CentralElement:
+                component_central_density(comp, which)
+        assert len(compiles) == 3
+        assert all(comp._compiled[key] is tables[key] for key in tables)
+        assert comp._compiled["interior"] == ([("c", _compile(comp))], 0.0)
+
+    def test_reach_is_judged_from_the_exact_mu(self):
+        # mu = 1e-400 is 0.0 as a float, yet the component is not central, so
+        # an interior point reaches its (non-real) below branch as well
+        comp = FixedComponent("a", Fraction(1, 10**400), {2: 1.0, 3: 1.0})
+        assert float(comp.mu) == 0.0 and not comp.central
+        space = QHSpace("tiny", (comp,), 1)
+        message = (
+            "non-real density (check input data): component 'a' has relative imaginary "
+            "residual 9.529e-01 on its below branch"
+        )
+        for _ in range(2):
+            for call in (
+                lambda: density(space, 0.3),
+                lambda: scan(space, [0.3]),
+                lambda: component_density(comp, 0.3),
+            ):
+                with pytest.raises(NonRealDensityError) as info:
+                    call()
+                assert str(info.value) == message
+
     def test_euler_integral_is_read_only(self):
         # a changed coefficient would leave the stored compile answering stale values
         space = make_s4()
@@ -753,6 +800,14 @@ class TestOverflow:
             density(space, 0.3)
         with pytest.raises(DensityOverflowError, match="density at t = 0.3 is not finite"):
             scan(space, [0.3])
+        # each central value is about -+5.33e307; four of them sum past the range
+        comps = tuple(FixedComponent(f"c{i}", Fraction(i, 5), {2: 1.2e307}) for i in range(1, 5))
+        space = QHSpace("big", comps, 1)
+        for which in CentralElement:
+            assert all(math.isfinite(component_central_density(c, which)) for c in comps)
+            with pytest.raises(DensityOverflowError) as info:
+                central_density(space, which)
+            assert str(info.value) == f"numeric overflow: density at {which.value} is not finite"
 
     def test_overflowing_volume_is_refused(self):
         space = QHSpace("big", self.space(1e307).components[:1], 10**300)
