@@ -26,7 +26,7 @@ from typing import Any
 
 from .expsum import RationalPoleFunction, _check_gamma, exp_sum_extrapolated, exp_sum_residue
 from .extrapolation import abel_ladder
-from .fourier import QuadratureError, SummationError, SummationMethod, reconstruct_density
+from .fourier import SummationMethod, reconstruct_density
 from .model import SpaceFormatError, load_space, named, require_interior_alcove
 from .residue import (
     CentralElement,
@@ -52,9 +52,7 @@ _WALL_POLICIES = {
     "right": WallPolicy.RIGHT_LIMIT,
 }
 
-_NUMERIC_ERRORS = (
-    WallError, NonRealDensityError, DensityOverflowError, SummationError, QuadratureError
-)
+_NUMERIC_ERRORS = (WallError, NonRealDensityError, DensityOverflowError)
 
 # Each point of a grid costs one Fraction and one float before any
 # evaluation, so a tiny step must be refused rather than enumerated.  The
@@ -146,37 +144,46 @@ def _load_selected_space(args: argparse.Namespace):
 
 
 def _parse_grid(spec: str, walls: set[Fraction]) -> list[float]:
-    """Grid points start + i*step up to end.
+    """Grid points start + i*step for 0 <= i <= (END - START) // STEP.
 
-    A point whose exact decimal value start + i*step is a wall is replaced by
-    that wall's float, so the wall policy applies to it; rounding in the float
-    sum would otherwise step past the wall and return a one-sided value.
+    The bounds are checked as floats first, so that an exponent too large for
+    a float is refused before its exact value is built.  The count is then one
+    exact floor division.  A point whose exact value start + i*step is a wall
+    is replaced by that wall's float, so the wall policy applies to it;
+    rounding in the float sum would otherwise step past the wall and return a
+    one-sided value.
     """
     parts = spec.split(":")
     if len(parts) != 3:
         raise SpaceFormatError(f"grid must be START:END:STEP, got {spec!r}")
+    not_numeric = f"grid must be numeric START:END:STEP, got {spec!r}"
     try:
         start, end, step = (float(p) for p in parts)
-        exact_start, exact_step = Fraction(parts[0]), Fraction(parts[2])
+        if not (math.isfinite(start) and math.isfinite(step)):
+            raise ValueError  # a non-finite START or STEP has no exact value
     except ValueError:
-        raise SpaceFormatError(f"grid must be numeric START:END:STEP, got {spec!r}") from None
+        raise SpaceFormatError(not_numeric) from None
     if not math.isfinite(end):
         raise SpaceFormatError("grid end must be finite")
     if step <= 0:
         raise SpaceFormatError("grid step must be positive")
     if not start < end:
         raise SpaceFormatError("grid start must be below grid end")
-    span = (end - start) / step + 1e-9
+    span = (end - start) / step
     if not span < _MAX_GRID_POINTS:  # also catches an overflow to inf
         raise SpaceFormatError(
             f"grid {spec!r} has about {span + 1:.3g} points; the limit is {_MAX_GRID_POINTS}"
         )
-    count = int(math.floor(span))
+    require_interior_alcove(start)
+    try:
+        exact_start, exact_end, exact_step = map(Fraction, parts)
+    except ValueError:  # more digits than int() converts
+        raise SpaceFormatError(not_numeric) from None
     points = []
-    for i in range(count + 1):
+    for i in range((exact_end - exact_start) // exact_step + 1):
         exact = exact_start + i * exact_step
         points.append(float(exact) if exact in walls else start + i * step)
-    return [t for t in points if t <= end + 1e-12]
+    return points
 
 
 def _emit(
@@ -280,9 +287,19 @@ def _cmd_central(args: argparse.Namespace) -> int:
     options = named("--imag-tol", EvalOptions, imag_tolerance=args.imag_tol)
     print(
         "warning: central value assumes the evaluation point is a regular value "
-        "of the moment map; this cannot be verified from fixed-point data",
+        "of the moment map; fixed-point data can show that it is not, never that it is",
         file=sys.stderr,
     )
+    # the moment map is not a submersion at a T-fixed point, so a component over the
+    # element makes it a critical value
+    edge = 0 if which is CentralElement.IDENTITY else 1
+    critical = ", ".join(repr(c.label) for c in space.components if c.mu == edge)
+    if critical:
+        print(
+            f"warning: {args.at} is not a regular value of the moment map; "
+            f"components at mu = {edge}: {critical}",
+            file=sys.stderr,
+        )
     density = _fmt(central_density(space, which, options))
     volume = _fmt(reduced_volume(space, which, options))
     payload = {

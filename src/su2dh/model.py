@@ -26,9 +26,11 @@ tolerance.
 Compiled data live on the object they are computed from: `residue` and
 `fourier` store a component's chamber branches and one-row tables, and a
 space's tables and Fourier coefficients, in its private `_compiled` dict.
-Equality, `repr` and the space file ignore it, copies start without it, and
-no cache is keyed by content.  This is sound because the data cannot change:
-both classes are frozen, and `euler_integral` is a read-only dict.
+It is an attribute set in `__post_init__`, not a dataclass field, so
+equality, `repr`, `dataclasses.asdict` and the space file ignore it.  Copies
+start without it, and no cache is keyed by content.  This is sound because
+the data cannot change: both classes are frozen, and `euler_integral` is a
+read-only dict.
 """
 
 from __future__ import annotations
@@ -36,6 +38,8 @@ from __future__ import annotations
 import cmath
 import json
 import math
+import re
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Any, Mapping, Union
@@ -58,6 +62,10 @@ def require_interior_alcove(t: float) -> float:
     if not (0.0 < t < 1.0) or math.isnan(t):
         raise AlcoveRangeError(f"t out of open alcove: t = {t!r} is not in (0, 1)")
     return t
+
+
+# the decimal exponent of a text, as Fraction reads it
+_EXPONENT = re.compile(r"[eE]([-+]?\d+(?:_\d+)*)\s*\Z")
 
 
 class _ReadOnlyDict(dict):
@@ -90,12 +98,20 @@ class FixedComponent:
     label: str
     mu: Fraction
     euler_integral: Mapping[int, complex]
-    # compiled branches and tables that `residue` stores on first use; not part of the value
-    _compiled: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        # compiled branches and tables that `residue` stores on first use; not a field
+        object.__setattr__(self, "_compiled", {})
         if not isinstance(self.label, str) or not self.label:
             raise SpaceFormatError("component label must be a nonempty string")
+        # Fraction(text) builds 10**|exponent|, which takes seconds for an exponent in the
+        # millions; refuse one beyond the digit limit that int() applies to digit strings
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: no limit
+        exponent = _EXPONENT.search(self.mu) if isinstance(self.mu, str) else None
+        if exponent and limit and len(exponent[1]) < limit and abs(int(exponent[1])) > limit:
+            raise SpaceFormatError(
+                f"component {self.label!r}: the decimal exponent of mu exceeds {limit}"
+            )
         try:
             object.__setattr__(self, "mu", Fraction(self.mu))
         except (ValueError, ZeroDivisionError, TypeError, OverflowError) as exc:
@@ -153,10 +169,10 @@ class QHSpace:
     name: str
     components: tuple[FixedComponent, ...]
     stabilizer_order: int
-    # tables that `residue` and `fourier` store on first use; not part of the value
-    _compiled: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        # tables that `residue` and `fourier` store on first use; not a field
+        object.__setattr__(self, "_compiled", {})
         # component order is not semantic; keep it canonical (sorted by label)
         object.__setattr__(
             self, "components", tuple(sorted(self.components, key=lambda c: c.label))

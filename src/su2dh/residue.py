@@ -33,11 +33,12 @@ each component object keeps its two polynomials from its first use.  A
 wall's one-sided limit is then the choice of branch, and the central values
 at +e and -e, the t -> 0+ and t -> 1- limits of the two branches, are the
 linear coefficients of P_below and P_above divided by pi.
-Central values are meaningful only when the central element is a regular
-value of the moment map, which the caller must assert; the code cannot
-verify it.  The above branch stays in x = 1 - t: re-expanding it about
-t = 0 would multiply its coefficients by binomials up to about 6e16
-(product:30, degree 59).  docs/derivation.md has the details.
+Central values are meaningful only at a regular value of the moment map,
+which the caller must assert: a component at mu = 0 (at +e) or mu = 1 (at
+-e) refutes it, and no fixed-point data confirm it.  The above branch stays
+in x = 1 - t: re-expanding it about t = 0 would multiply its coefficients by
+binomials up to about 6e16 (product:30, degree 59).  docs/derivation.md has
+the details.
 
 Volumes of reduced spaces follow from the density and the generic stabilizer
 order k:
@@ -131,13 +132,16 @@ class _BranchPolynomials:
     ``above[j]`` is the coefficient of s^(2j+1) with s = 1 - t, valid for
     t > mu.  Both hold real parts, and ``residual`` maps each branch to the
     relative imaginary residual of its complex coefficients, which is at
-    most 1, or inf when one of them overflowed.
+    most 1, or inf when one of them overflowed.  ``interior`` names the
+    branch that judges interior points, decided from the exact mu: the only
+    one they reach when mu is 0 or 1, else the one with the larger residual.
     """
 
     mu: float
     below: tuple[float, ...]
     above: tuple[float, ...]
     residual: dict[str, float]
+    interior: str
 
     def at(self, t: float, branch: str) -> float:
         """P(x) on ``branch`` ('below' or 'above'), by Horner's rule in x^2."""
@@ -192,17 +196,11 @@ def _compile(component: FixedComponent) -> _BranchPolynomials:
         half = Fraction(1, 2) if component.central else Fraction(1)
         below, r_below = _branch(coefficients, mu, -half)
         above, r_above = _branch(coefficients, mu + 1, half)
+        interior = "above" if mu == 0 else "below" if mu == 1 or r_below >= r_above else "above"
         residual = {"below": r_below, "above": r_above}
-        poly = _BranchPolynomials(float(mu), below, above, residual)
+        poly = _BranchPolynomials(float(mu), below, above, residual, interior)
         component._compiled["branches"] = poly
     return poly
-
-
-def _branches(component: FixedComponent, reach: str) -> list[str]:
-    """The branches ``reach`` allows; an interior point reaches one of a central component's."""
-    if reach != "interior":
-        return [reach]
-    return [b for b, edge in (("below", 0), ("above", 1)) if component.mu != edge]
 
 
 def _table(
@@ -216,7 +214,7 @@ def _table(
     compiled, largest = [], 0.0
     for comp in owner.components if isinstance(owner, QHSpace) else (owner,):
         poly = _compile(comp)
-        branch = max(_branches(comp, reach), key=poly.residual.__getitem__)
+        branch = poly.interior if reach == "interior" else reach
         residual = poly.residual[branch]
         if residual == math.inf:
             raise DensityOverflowError(
@@ -303,7 +301,8 @@ def component_central_density(
     """One component's contribution to the density at a central element.
 
     Valid only when the central element is a regular value of the moment
-    map; this hypothesis cannot be checked from localization data.
+    map.  Localization data refute this hypothesis when a component sits at
+    the element (mu = 0 at +e, mu = 1 at -e), but cannot confirm it.
     """
     return _central(component, which, options)
 

@@ -228,6 +228,44 @@ class TestEval:
         assert proc.stdout == ""
         assert f"has about {count} points; the limit is 1000000" in proc.stderr
 
+    def test_grid_count_is_exact(self):
+        # (END - START) / STEP is 0.9999999999 exactly; a float estimate padded by
+        # 1e-9 counted a second point, 0.101, which lies past END
+        proc = run_cli("eval", "--builtin", "s4", "--grid", "0.1:0.1009999999999:0.001")
+        _, rows = parse_csv(proc.stdout)
+        assert [row[0] for row in rows] == ["0.1"]
+
+    @pytest.mark.parametrize(
+        "grid, message",
+        [
+            ("0.1:0.9:1e-9999999", "grid step must be positive"),
+            ("1e-9999999:0.9:0.1", "t = 0.0 is not in (0, 1)"),
+            ("0.1:0.9:1e+9999999", "grid must be numeric"),
+            ("0.1:0.9" + "0" * 5000 + ":0.1", "grid must be numeric"),
+        ],
+        ids=["tiny-step", "tiny-start", "huge-step", "long-end"],
+    )
+    def test_grid_bounds_are_checked_before_exact_values(self, grid, message):
+        # 10**9999999 takes seconds to build; the float bounds refuse these at once.
+        # An END longer than int()'s digit limit cannot be read exactly, so it is refused
+        proc = run_cli("eval", "--builtin", "s4", "--grid", grid, expect=2, timeout=5.0)
+        assert proc.stdout == "" and message in proc.stderr
+
+    @pytest.mark.parametrize("mu", ["1e-9999999", "1e+9999999", "1E-4301"])
+    def test_mu_exponent_is_bounded(self, tmp_path, mu):
+        doc = json.loads(save_space(QHSpace("x", (FixedComponent("a", 0.5, {2: 1.0}),), 1)))
+        doc["components"][0]["mu"] = mu
+        path = tmp_path / "mu.json"
+        path.write_text(json.dumps(doc))
+        proc = run_cli("eval", "--space", str(path), "--t", "0.5", expect=2, timeout=5.0)
+        assert proc.stdout == ""
+        assert "components[0]: component 'a': the decimal exponent of mu exceeds" in proc.stderr
+
+        doc["components"][0]["mu"] = "1e-400"
+        path.write_text(json.dumps(doc))
+        _, rows = parse_csv(run_cli("eval", "--space", str(path), "--t", "0.5").stdout)
+        assert len(rows) == 1
+
     def test_non_real_space_is_refused(self):
         # a real odd power makes the data non-real however small it is;
         # no row is printed, not even the points where the value looks plausible
@@ -387,6 +425,23 @@ class TestCentral:
     def test_s4_identity_emits_warning(self):
         proc = run_cli("central", "--builtin", "s4", "--at", "e")
         assert "regular value" in proc.stderr
+
+    @pytest.mark.parametrize(
+        "builtin, at, named",
+        [
+            ("s4", "e", "mu = 0: 'e'"),
+            ("s4", "-e", "mu = 1: '-e'"),
+            ("double", "e", "mu = 0: 'F'"),
+            ("product:3", "-e", None),
+        ],
+    )
+    def test_components_at_the_element_are_named(self, builtin, at, named):
+        # a fixed component over a central element makes it a critical value
+        proc = run_cli("central", "--builtin", builtin, "--at", at)
+        first, *rest = proc.stderr.splitlines()
+        assert "regular value" in first and "cannot be verified" not in first
+        line = f"warning: {at} is not a regular value of the moment map; components at {named}"
+        assert rest == ([line] if named else [])
 
     def test_invalid_central_element(self):
         run_cli("central", "--builtin", "s4", "--at", "q", expect=2)

@@ -100,6 +100,21 @@ class TestFixedComponent:
             f"euler_integral={dict(space.components[0].euler_integral)!r})"
         )
 
+    def test_compiled_data_are_not_fields(self):
+        # a warm and a cold equal object give the same records
+        warm, cold = make_product_space(3), make_product_space(3)
+        density(warm, 0.37)
+        reconstruct_density(warm, 0.37, SummationMethod(terms=100))
+        assert warm._compiled and warm.components[0]._compiled
+        assert dataclasses.asdict(warm) == dataclasses.asdict(cold)
+        assert dataclasses.astuple(warm) == dataclasses.astuple(cold)
+        assert [f.name for f in dataclasses.fields(warm)] == [
+            "name", "components", "stabilizer_order"
+        ]
+        assert [f.name for f in dataclasses.fields(warm.components[0])] == [
+            "label", "mu", "euler_integral"
+        ]
+
 
 class TestSpaceValidation:
     def test_duplicate_labels_rejected(self):

@@ -2,10 +2,11 @@
 
 import math
 
+import mpmath
 import pytest
 
 from su2dh.model import AlcoveRangeError
-from su2dh.residue import density, reduced_volume
+from su2dh.residue import CentralElement, density, reduced_volume
 from su2dh.spaces import builtin_space, make_product_space, make_s4
 from conftest import product_closed_form, witten_volume_n1
 
@@ -86,6 +87,16 @@ class TestWittenVolume:
     def test_range(self):
         with pytest.raises(AlcoveRangeError):
             witten_volume_n1(0.0)
+
+    @pytest.mark.parametrize("g", range(1, 16))
+    def test_twisted_moduli_volumes(self, g):
+        # Witten (CMP 141, 1991): in this normalisation, the moduli space of flat
+        # SU(2)-connections of genus g with holonomy -e around one puncture has
+        # volume 2*eta(2g-2)/(2*pi^2)^(g-1), eta the Dirichlet eta function
+        with mpmath.workdps(40):
+            expected = 2 * mpmath.altzeta(2 * g - 2) / (2 * mpmath.pi**2) ** (g - 1)
+        volume = reduced_volume(make_product_space(g), CentralElement.MINUS_IDENTITY)
+        assert volume == pytest.approx(float(expected), rel=1e-14)
 
 
 class TestBuiltinSelector:
