@@ -27,8 +27,9 @@ for the density evaluator: the density formulas are exactly two instances of
 this identity with gamma = pi*(t + mu) and gamma = pi*(mu - t), and
 `su2dh.residue` compiles its chamber polynomials from `bernoulli_values` too.
 
-`RationalPoleFunction` is the package's one evaluator of sum_k a_k x^{-k};
-the Fourier path calls it too.  A direct summation oracle is included.  It
+`RationalPoleFunction` evaluates sum_k a_k x^{-k} for the lemma; the Fourier
+path folds the pair f(w), f(-w) into real polynomials in 1/w of its own
+(`fourier._fold`).  A direct summation oracle is included.  It
 pairs m with -m, so the terms are e^{i*m*gamma} f(m) + e^{-i*m*gamma} f(-m).
 For k = 1 the series is only conditionally convergent, so the oracle
 supports Abel damping r^{|m|}, and `exp_sum_extrapolated` removes the
@@ -39,17 +40,17 @@ undamped terms are computed once and shared by all nodes.
 
 The oracle's elementwise work runs in blocks of 4096 terms.  One ladder of
 powers of 1/m per block gives both f(m) and f(-m)
-(`RationalPoleFunction._both_signs`, which the Fourier path shares), and the
-phase is cos and sin of gamma*m, written into the two halves of one complex
-array.  A block's temporaries are at most 64 KB, under glibc's 128 KB
-threshold for serving an allocation with a fresh mmap, so the heap reuses
-them.  Whole-length temporaries, about 45 per call at M = 100,000, were each
-mapped and page-faulted afresh, which took about half of the call.  Only the
-terms and one array of damped terms are M long: about 33 bytes per term at
-the peak, against 88 with whole-length temporaries.  Each sum is still one
-``np.sum`` over all M terms, because partial sums per block would change
-numpy's pairwise order, so the values are those of whole-array evaluation,
-bit for bit.
+(`RationalPoleFunction._both_signs`), and the phase is cos and sin of
+gamma*m, written into the two halves of one complex array.  A block's
+temporaries are at most 64 KB, under glibc's 128 KB threshold for serving an
+allocation with a fresh mmap, so the heap reuses them.  Whole-length
+temporaries, about 45 per call at M = 100,000, were each mapped and
+page-faulted afresh, which took about half of the call.  Only the terms and
+one array of damped terms are M long: about 33 bytes per term at the peak,
+against 88 with whole-length temporaries.  Each sum is still one ``np.sum``
+over all M terms, because partial sums per block would change numpy's
+pairwise order, so the values are those of whole-array evaluation, bit for
+bit.
 
 numpy is imported inside the functions that build arrays, not at module
 level, because the residue path and the CLI must start without it.

@@ -9,8 +9,8 @@ components:
 where the sum runs over the *full* fixed-point family: each stored
 non-central component together with its Weyl-reflected partner, central
 components once.  The partner has mu -> -mu and I_{F'}(z) = I_F(-z), so its
-term is the component's own pole function (`RationalPoleFunction`)
-evaluated at -(n+1).  The density is then reconstructed as the character series
+term is the component's own pole function evaluated at -(n+1), with the
+conjugate phase.  The density is then reconstructed as the character series
 
     density(exp(t*rho)) = (2*pi/sqrt(2)) * sum_n <density, chi_n> * chi_n(exp(t*rho)),
 
@@ -18,19 +18,26 @@ with chi_n(exp(t*rho)) = sin(pi*(n+1)*t)/sin(pi*t) from the Weyl character
 formula (characters are real, so no conjugation is needed).  Both dim V_n and
 chi_n are computed from these formulas, never tabulated.
 
+The arithmetic is real.  `_fold` folds a pair's two terms into real
+polynomials in 1/(n+1) times cos and sin of pi*mu*(n+1), and `_phases` gives
+those phases, and the characters' sines, from exactly reduced tables, so no
+rounded angle larger than pi/4 reaches cos or sin, at any n.
+`fourier_coefficient` runs the same fold in Python floats at the exact
+integer n + 1.
+
 The coefficients do not depend on t.  `reconstruct_density` computes those
 for n < terms once per space object and term count, and stores them on the
 space (see `model`), so the calls of a grid, or of both paths on one space,
-compute them once.  They are read-only and take 16 bytes per term for each
-term count used, on each live space: 160 KB at the default 10,000 terms.
-With them the space stores their relative imaginary residual
-max_n |Im c_n| / max_n |c_n|; reflection-symmetric data give about 1e-15,
-and a residual above `EvalOptions.imag_tolerance` is refused with
-`NonRealDensityError`, as the residue path refuses a branch.  The weights
-n + 1 and the damping arrays depend only on the `SummationMethod`, so a small
-cache keeps them per method.  Only the characters and the damped sums are
-computed per point, so a call on a warm space gives the same value, to the
-bit, as one on a cold space.
+compute them once.  Their real and imaginary parts are judged together: the
+space stores the relative imaginary residual max_n |Im c_n| / max_n |c_n|
+(exactly 0 for reflection-symmetric data), and a residual above
+`EvalOptions.imag_tolerance` is refused with `NonRealDensityError`, as the
+residue path refuses a branch.  Only the real parts are kept: they are
+read-only and take 8 bytes per term for each term count used, on each live
+space, 80 KB at the default 10,000 terms.  The damping arrays depend only on
+the `SummationMethod`, so a small cache keeps them per method.  Only the
+characters and the damped sums are computed per point, so a call on a warm
+space gives the same value, to the bit, as one on a cold space.
 
 For minimal-codimension data (coefficients starting at z^{-2}) the series is
 only conditionally convergent, so summation methods are provided: plain
@@ -56,13 +63,12 @@ without it.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import lru_cache
 from typing import TYPE_CHECKING, Callable, Sequence
 
-from .expsum import RationalPoleFunction
 from .extrapolation import abel_ladder, extrapolate_to_zero
 from .model import VOL_G, VOL_T, FixedComponent, QHSpace, require_interior_alcove
 from .residue import DEFAULT_OPTIONS, DensityOverflowError, EvalOptions, NonRealDensityError
@@ -113,44 +119,161 @@ class SummationMethod:
             raise ValueError(f"abel_r must give distinct nodes 1 - r, got {self.abel_r!r}")
 
 
-def _localization_terms(components: Sequence[FixedComponent], weights: np.ndarray) -> np.ndarray:
-    """Coefficients <density, chi_n> for n + 1 = weights (a float array).
+def _quarter_turns(
+    x: Fraction, first: int, step: int, count: int
+) -> tuple[list[int], list, float]:
+    """Quadrants n, and numerators of pi*y, for x*k = n/2 + y with -1/4 <= y < 1/4.
 
-    The Weyl partner F' of a non-central component has mu_{F'} = -mu_F and
-    I_{F'}(z) = I_F(-z), so it is the same pole function evaluated at -w,
-    with the conjugate phase.
+    k runs over first + i*step for i < count, and e^{pi*i*x*k} is
+    i^n e^{pi*i*y}.  With x = p/q the reduction is exact, in integers:
+    4*p*k + q = 2*q*n + r with 0 <= r < 2q gives pi*y = (r - q) * pi/(4q),
+    and n and r - q step with k by additions.  The numerators r - q are
+    returned with the scale pi/(4q), or, for a q too large to convert, as the
+    quotients (r - q)/(4q) with the scale pi.  Only the angle, at most pi/4
+    in size, is rounded, so a multiple of a quarter turn gives its cos and
+    sin exactly.
+    """
+    p, q = x.numerator, x.denominator
+    two_q = 2 * q
+    quadrant, turn = divmod(4 * p * first + q, two_q)
+    quadrant_step, turn_step = divmod(4 * p * step, two_q)
+    turn -= q
+    quadrants: list[int] = []
+    turns: list[int] = []
+    for _ in range(count):
+        quadrants.append(quadrant & 3)
+        turns.append(turn)
+        quadrant += quadrant_step
+        turn += turn_step
+        if turn >= q:
+            turn -= two_q
+            quadrant += 1
+    if q.bit_length() > 1000:  # 4q would not convert to a float
+        return quadrants, [turn / (4 * q) for turn in turns], math.pi
+    return quadrants, turns, math.pi / (4 * q)
+
+
+def _phases(x: Fraction, terms: int) -> tuple[np.ndarray, np.ndarray]:
+    """cos(pi*x*w) and sin(pi*x*w) for w = 1..terms, for an exact rational x.
+
+    With block = ceil(sqrt(terms)), w = 1 + j + block*m with j < block, so
+    each angle is the sum of a low one, for k = 1..block, and a high one, for
+    k = block*m.  The two tables, about 2*sqrt(terms) values reduced by
+    `_quarter_turns`, are combined by angle addition: cos and sin are each
+    the sum of two outer products, computed as one matrix product.
     """
     import numpy as np
 
-    total = np.zeros(weights.shape, dtype=complex)
-    for comp in components:
-        f_pos, f_neg = RationalPoleFunction(comp.euler_integral)._both_signs(weights)
-        phase = np.exp(1j * math.pi * float(comp.mu) * weights)
-        total += weights * f_pos * phase
-        if not comp.central:
-            total += weights * f_neg * np.conj(phase)
+    block = math.isqrt(terms - 1) + 1
+    phases = []
+    for first, step, count in ((1, 1, block), (0, block, -(-terms // block))):
+        quadrants, turns, scale = _quarter_turns(x, first, step, count)
+        units = np.array([1, 1j, -1, -1j])[quadrants]
+        phases.append(np.exp(1j * scale * np.array(turns, dtype=float)) * units)
+    low, high = phases
+    rotations = np.array([[high.real, -high.imag], [high.imag, high.real]]).transpose(0, 2, 1)
+    table = rotations @ np.array([low.real, low.imag])
+    return table[0].ravel()[:terms], table[1].ravel()[:terms]
+
+
+def _poly(coefficients: tuple[float, ...], v, factor):
+    """factor * sum_j coefficients[j] * v**j by Horner's rule; v is a float or an array.
+
+    It is None when every coefficient is 0, and zero coefficients above the
+    last nonzero one cost nothing.
+    """
+    total = None
+    for c in reversed(coefficients):
+        if total is not None:
+            total = total * v
+        if c:
+            total = c if total is None else total + c
+    return None if total is None else total * factor
+
+
+def _products(*pairs):
+    """The sum of a*b over the pairs (a, b), skipping each a that `_poly` gave as None."""
+    total = 0.0
+    for a, b in pairs:
+        if a is not None:
+            total = total + a * b
     return total
+
+
+def _fold(component: FixedComponent, u, cos, sin) -> tuple:
+    """Re and Im of the term of one component's full family in <density, chi_n>.
+
+    Here u = 1/w with w = n + 1, and cos + i*sin = e^{pi*i*mu*w}; each is a
+    float or an array.  Split w*I_F(w) = sum_k a_k u^{k-1} = E + O into the
+    even orders, E = u * sum_j a_{2j+2} u^{2j}, and the odd ones,
+    O = u^2 * sum_j a_{2j+3} u^{2j}: real polynomials in u^2 for the real and
+    the imaginary parts, whose coefficients are stored on the component.  The
+    Weyl partner adds w*I_F(-w) e^{-pi*i*mu*w}, and w*I_F(-w) = E - O, so a
+    non-central pair gives 2*E*cos + 2i*O*sin.  A central component is its
+    own partner, and its sin is 0, so it gives (E + O)*cos.
+    """
+    polynomials = component._compiled.get("fold")
+    if polynomials is None:
+        coeffs, top = component.euler_integral, component.max_power
+        even = [coeffs.get(k, 0j) for k in range(2, top + 1, 2)]
+        odd = [coeffs.get(k, 0j) for k in range(3, top + 1, 2)]
+        polynomials = component._compiled["fold"] = (
+            tuple(a.real for a in even),
+            tuple(a.imag for a in even),
+            tuple(a.real for a in odd),
+            tuple(a.imag for a in odd),
+        )
+    even_re, even_im, odd_re, odd_im = polynomials
+    v = u * u
+    even_re, even_im = _poly(even_re, v, u), _poly(even_im, v, u)
+    odd_re, odd_im = _poly(odd_re, v, v), _poly(odd_im, v, v)
+    if component.central:
+        return _products((even_re, cos), (odd_re, cos)), _products((even_im, cos), (odd_im, cos))
+    # the products are formed before the doubling, which overflows only with their sum
+    return (
+        2.0 * (_products((even_re, cos)) - _products((odd_im, sin))),
+        2.0 * _products((even_im, cos), (odd_re, sin)),
+    )
+
+
+def _localization_terms(
+    components: Sequence[FixedComponent], weights: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Re and Im of <density, chi_n> for n + 1 = weights, the floats 1..len(weights)."""
+    import numpy as np
+
+    u = 1.0 / weights
+    real, imag = np.zeros(weights.shape), np.zeros(weights.shape)
+    for comp in components:
+        part_re, part_im = _fold(comp, u, *_phases(comp.mu, len(weights)))
+        real += part_re
+        imag += part_im
+    return real, imag
 
 
 def _coefficients(space: QHSpace, terms: int) -> tuple[np.ndarray, float]:
     """Read-only <density, chi_n> for n < terms, and their realness, stored on the space.
 
-    The second value is max_n |Im c_n| / max_n |c_n| (0 if all vanish, inf
-    if one overflowed).
+    The coefficients are built as real and imaginary parts, and the second
+    value is max_n |Im c_n| / max_n |c_n| (0 if all vanish, inf if one
+    overflowed).  Only the real parts are stored.
     """
     entry = space._compiled.get(("fourier", terms))
     if entry is None:
         import numpy as np
 
         with np.errstate(over="ignore", invalid="ignore"):  # an overflow is judged below
-            values = _localization_terms(space.components, np.arange(1, terms + 1, dtype=float))
-        values.flags.writeable = False
-        if not np.all(np.isfinite(values)):
+            real, imag = _localization_terms(
+                space.components, np.arange(1, terms + 1, dtype=float)
+            )
+            # NaN and inf propagate to the largest size
+            size = float(np.max(np.hypot(real, imag)))
+        if not math.isfinite(size):
             residual = math.inf
         else:
-            size = np.max(np.abs(values))
-            residual = float(np.max(np.abs(values.imag)) / size) if size else 0.0
-        entry = space._compiled[("fourier", terms)] = values, residual
+            residual = float(np.max(np.abs(imag))) / size if size else 0.0
+        real.flags.writeable = False
+        entry = space._compiled[("fourier", terms)] = real, residual
     return entry
 
 
@@ -185,13 +308,22 @@ def _ladder(
 
 
 def fourier_coefficient(space: QHSpace, n: int) -> complex:
-    """Localization value of <density, chi_n> for one n >= 0."""
+    """Localization value of <density, chi_n> for one n >= 0.
+
+    It is the fold of `_coefficients` for the exact weight w = n + 1, in
+    Python floats, with each phase reduced exactly at w.
+    """
     if not isinstance(n, int) or isinstance(n, bool) or n < 0:
         raise ValueError("n must be an integer >= 0")
-    import numpy as np
-
-    value = _localization_terms(space.components, np.array([float(n + 1)]))
-    return complex(value[0])
+    w = n + 1
+    real = imag = 0.0
+    for comp in space.components:
+        (quadrant,), (turn,), scale = _quarter_turns(comp.mu, w, 1, 1)
+        c, s = math.cos(turn * scale), math.sin(turn * scale)
+        part_re, part_im = _fold(comp, 1 / w, *((c, s), (-s, c), (-c, -s), (s, -c))[quadrant])
+        real += part_re
+        imag += part_im
+    return complex(real, imag)
 
 
 def reconstruct_density(
@@ -208,7 +340,8 @@ def reconstruct_density(
     object, so a grid of calls on it computes them once.  Their relative
     imaginary residual max_n |Im c_n| / max_n |c_n| is judged against
     ``options.imag_tolerance`` (the wall policy plays no part here), and
-    :class:`NonRealDensityError` is raised above it.
+    :class:`NonRealDensityError` is raised above it.  The characters come
+    from the sines of `_phases` at ``Fraction(t)``, and the sums are real.
 
     With ``convergence_tol`` set, Abel extrapolation raises
     :class:`SummationError` when the last two Richardson levels disagree by
@@ -227,22 +360,29 @@ def reconstruct_density(
             f"non-real density (check input data): space {space.name!r} has Fourier "
             f"coefficients with relative imaginary residual {residual:.3e}"
         )
-    weights, ladder = _ladder(method)
-    characters = np.sin(math.pi * t * weights) / math.sin(math.pi * t)
-    base_terms = coefficients * characters
-    samples = [
-        (h, _RECONSTRUCTION_FACTOR * complex(np.sum(base_terms * damping)))
-        for h, damping in ladder
-    ]
-    value, last_change = extrapolate_to_zero(samples)
-    if not cmath.isfinite(value):
+    _, ladder = _ladder(method)
+    # chi_n(t) = sin(pi*(n+1)*t) / sin(pi*t), and sin(pi*t) is the first sine
+    _, sines = _phases(Fraction(t), method.terms)
+    base_terms = coefficients * (sines / sines[0])
+    # Each damping is 1 - O(n) near n = 0, so the undamped sum is split off: the large
+    # early terms enter it alone, not every node's sum, whose rounding Richardson's
+    # weights amplify.  The Neville step maps the constant undamped part to itself.
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is judged below
+        undamped = _RECONSTRUCTION_FACTOR * float(np.sum(base_terms))
+        samples = [
+            (h, _RECONSTRUCTION_FACTOR * float(np.sum(base_terms * (damping - 1.0))))
+            for h, damping in ladder
+        ]
+    change, last_change = extrapolate_to_zero(samples)
+    value = undamped + change.real
+    if not math.isfinite(value):
         raise DensityOverflowError(f"numeric overflow: Fourier density at t = {t} is not finite")
     if convergence_tol is not None and last_change > 10.0 * convergence_tol:
         raise SummationError(
             f"Abel/Richardson levels disagree by {last_change:.3e}, "
             f"more than 10x the target tolerance {convergence_tol:.3e}"
         )
-    return value.real
+    return value
 
 
 # Panel doubling stops when two estimates agree to these tolerances; the

@@ -24,8 +24,9 @@ factor 1/2 in every downstream formula, so it must never depend on a floating
 tolerance.
 
 Compiled data live on the object they are computed from: `residue` and
-`fourier` store a component's chamber branches and one-row tables, and a
-space's tables and Fourier coefficients, in its private `_compiled` dict.
+`fourier` store a component's chamber branches, one-row tables and Fourier
+fold polynomials, and a space's tables and Fourier coefficients, in its
+private `_compiled` dict.
 It is an attribute set in `__post_init__`, not a dataclass field, so
 equality, `repr`, `dataclasses.asdict` and the space file ignore it.  Copies
 start without it, and no cache is keyed by content.  This is sound because

@@ -1,11 +1,11 @@
 """Fourier-localization oracle: coefficients, reconstruction, quadrature."""
 
-import cmath
 import gc
 import math
 import random
 import weakref
 
+import mpmath
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -73,20 +73,26 @@ class TestCoefficients:
     def test_full_family_sum(self, rng):
         # formula (1) of docs/derivation.md summed over the full family, with
         # each Weyl partner written out by the documented rule: mu -> -mu,
-        # c_k -> (-1)^k c_k, central components counted once
+        # c_k -> (-1)^k c_k, central components counted once.  The phase is
+        # reduced exactly: at mu*w = 3/2 the value is exactly 0, and a float
+        # phase would leave 1e-16 of rounding to compare against
         def family(space):
             for comp in space.components:
-                yield float(comp.mu), dict(comp.euler_integral)
+                yield comp.mu, dict(comp.euler_integral)
                 if not comp.central:
                     flipped = {k: (-1) ** k * c for k, c in comp.euler_integral.items()}
-                    yield -float(comp.mu), flipped
+                    yield -comp.mu, flipped
+
+        def phase(turns: Fraction) -> complex:
+            turns %= 2
+            return complex(mpmath.expjpi(mpmath.mpf(turns.numerator) / turns.denominator))
 
         for _ in range(40):
             space = make_random_space(rng)
             for n in (0, 1, 5, 37):
                 w = n + 1
                 expected = w * sum(
-                    sum(c * w**-k for k, c in coeffs.items()) * cmath.exp(1j * math.pi * w * mu)
+                    sum(c * w**-k for k, c in coeffs.items()) * phase(w * mu)
                     for mu, coeffs in family(space)
                 )
                 value = fourier_coefficient(space, n)
@@ -314,6 +320,99 @@ class TestCoefficientCache:
             fresh = QHSpace(space.name, space.components, space.stabilizer_order)
             cold = reconstruct_density(fresh, 0.58, method)
             assert warm.hex() == cold.hex()
+
+
+def mp_localization(space: QHSpace, w: int) -> tuple[complex, float]:
+    """<density, chi_{w-1}> at 40 digits with exactly reduced phases, and the size of its terms.
+
+    The size is 2*w*sum_F sum_k |a_k| w^-k, the bound that a phase error of
+    one unit multiplies.
+    """
+    with mpmath.workdps(40):
+        value, size = mpmath.mpc(0), mpmath.mpf(0)
+        for comp in space.components:
+            for sign in (1,) if comp.central else (1, -1):
+                turns = sign * comp.mu * w % 2
+                phase = mpmath.expjpi(mpmath.mpf(turns.numerator) / turns.denominator)
+                pole = sum(mpmath.mpc(a) * mpmath.mpf(sign * w) ** -k
+                           for k, a in comp.euler_integral.items())
+                value += w * pole * phase
+            size += 2 * w * sum(abs(a) * mpmath.mpf(w) ** -k
+                                for k, a in comp.euler_integral.items())
+        return complex(value), float(size)
+
+
+def mp_same_sums(space: QHSpace, t: float, methods: list[SummationMethod]) -> list[float]:
+    """Each method's truncated character series at 30 digits, with exact t and mu.
+
+    The terms, the damping values (the method's floats) and the Richardson
+    step are those of `reconstruct_density`; only the arithmetic is exact.
+    The methods share one term count.
+    """
+    with mpmath.workdps(30):
+        theta = mpmath.pi * mpmath.mpf(t)
+        sine, two_cos = mpmath.sin(theta), 2 * mpmath.cos(theta)
+        terms, previous, current = [], mpmath.mpf(0), sine
+        for w in range(1, methods[0].terms + 1):
+            terms.append(mp_localization(space, w)[0].real * current / sine)
+            previous, current = current, two_cos * current - previous
+        sums = []
+        for method in methods:
+            samples = []
+            for h, damping in fourier._ladder(method)[1]:
+                weights = [damping] * len(terms) if isinstance(damping, float) else damping
+                total = mpmath.fdot(terms, [mpmath.mpf(float(d)) for d in weights])
+                samples.append((mpmath.mpf(h), 2 * mpmath.pi / mpmath.sqrt(2) * total))
+            nodes, values = [h for h, _ in samples], [v for _, v in samples]
+            for k in range(1, len(values)):
+                for i in range(len(values) - k):
+                    values[i] = (nodes[i] * values[i + 1] - nodes[i + k] * values[i]) / (
+                        nodes[i] - nodes[i + k]
+                    )
+            sums.append(float(values[0]))
+        return sums
+
+
+class TestExactPhases:
+    """Phases are reduced exactly in integers, so large n and small t keep their accuracy."""
+
+    @pytest.mark.parametrize("terms", [1, 2, 3, 99, 100, 101])
+    @pytest.mark.parametrize(
+        "x", [Fraction(123_456_789_012_345_678, 987_654_321_098_765_431), Fraction(3e-9)]
+    )
+    def test_phase_tables_match_mpmath(self, x, terms):
+        # a mu with a large denominator, and Fraction(t) of a small float t, at
+        # term counts around the table boundaries
+        cos, sin = fourier._phases(x, terms)
+        assert len(cos) == len(sin) == terms
+        with mpmath.workdps(40):
+            for w in range(1, terms + 1):
+                exact = mpmath.expjpi(mpmath.mpf(x.numerator) / x.denominator * w)
+                assert abs(cos[w - 1] - exact.real) <= 1e-15
+                assert abs(sin[w - 1] - exact.imag) <= 1e-15
+
+    @pytest.mark.parametrize("n", [999, 9_999, 999_999, 2**40, 2**60])
+    def test_large_n_coefficients(self, n):
+        # a float phase pi*mu*(n+1) was off by 6.6e-13 of the term size at
+        # n = 9,999 and by 1.3 at n = 2**60
+        space = QHSpace(
+            "large-n",
+            (
+                FixedComponent("a", Fraction(7, 10), {3: 1j}),
+                FixedComponent("b", Fraction(1, 3), {2: 0.5}),
+            ),
+            1,
+        )
+        expected, size = mp_localization(space, n + 1)
+        assert abs(fourier_coefficient(space, n) - expected) <= 1e-14 * size
+
+    def test_sums_match_the_same_sums_in_mpmath(self, rng):
+        methods = [SummationMethod(kind=k, terms=2000) for k in ("abel", "partial", "cesaro")]
+        spaces = (make_s4(), make_product_space(5), make_random_space(rng), make_random_space(rng))
+        for space, t in zip(spaces, (0.37, 0.81, 0.23, 0.64)):
+            for method, expected in zip(methods, mp_same_sums(space, t, methods)):
+                value = reconstruct_density(space, t, method)
+                assert abs(value - expected) <= 1e-14 * abs(expected), (space.name, method.kind)
 
 
 class TestQuadrature:
