@@ -21,7 +21,10 @@ chi_n are computed from these formulas, never tabulated.
 The arithmetic is real.  `_fold` folds a pair's two terms into real
 polynomials in 1/(n+1) times cos and sin of pi*mu*(n+1), and `_phases` gives
 those phases, and the characters' sines, from exactly reduced tables, so no
-rounded angle larger than pi/4 reaches cos or sin, at any n.
+rounded angle larger than pi/4 reaches cos or sin, at any n.  Where
+(pi*t*terms)^2 < 2^-53 each character rounds to n + 1, and the weights
+n + 1 are used in its place; a subnormal t, whose reduced angles would lose
+their precision, is among these.
 `fourier_coefficient` runs the same fold in Python floats at the exact
 integer n + 1.
 
@@ -278,17 +281,18 @@ def _coefficients(space: QHSpace, terms: int) -> tuple[np.ndarray, float]:
 
 
 # Bounded, because a caller may try many methods.  An entry holds 8 bytes per
-# term for the weights and 8 more per damping array: 320 KB for the default
-# Abel ladder at 10,000 terms.
+# term for the weights and 8 more per damping - 1 array: 320 KB for the
+# default Abel ladder at 10,000 terms.
 @lru_cache(maxsize=4)
 def _ladder(
     method: SummationMethod,
 ) -> tuple[np.ndarray, tuple[tuple[float, np.ndarray | float], ...]]:
-    """Read-only weights n + 1 for n < terms, and the method's (node, damping) pairs.
+    """Read-only weights n + 1 for n < terms, and the method's (node, damping - 1) pairs.
 
-    The pairs are the extrapolation node h and the damping of term n.  A
-    single pair extrapolates to itself, with a NaN correction that never
-    trips the tolerance check.
+    The pairs are the extrapolation node h and the damping of term n less
+    1, which is what `reconstruct_density` sums against.  A single pair
+    extrapolates to itself, with a NaN correction that never trips the
+    tolerance check.
     """
     import numpy as np
 
@@ -301,7 +305,8 @@ def _ladder(
         ladder = ((1.0, 1.0 - n_index / n_terms),)
     else:
         ladder = tuple((1.0 - r, np.exp(n_index * math.log(r))) for r in method.abel_r)
-    for array in (weights, *(damping for _, damping in ladder)):
+    ladder = tuple((h, damping - 1.0) for h, damping in ladder)
+    for array in (weights, *(excess for _, excess in ladder)):
         if isinstance(array, np.ndarray):
             array.flags.writeable = False
     return weights, ladder
@@ -341,7 +346,8 @@ def reconstruct_density(
     imaginary residual max_n |Im c_n| / max_n |c_n| is judged against
     ``options.imag_tolerance`` (the wall policy plays no part here), and
     :class:`NonRealDensityError` is raised above it.  The characters come
-    from the sines of `_phases` at ``Fraction(t)``, and the sums are real.
+    from the sines of `_phases` at ``Fraction(t)``, or at a t so small that
+    they round to n + 1, are n + 1; the sums are real.
 
     With ``convergence_tol`` set, Abel extrapolation raises
     :class:`SummationError` when the last two Richardson levels disagree by
@@ -360,18 +366,24 @@ def reconstruct_density(
             f"non-real density (check input data): space {space.name!r} has Fourier "
             f"coefficients with relative imaginary residual {residual:.3e}"
         )
-    _, ladder = _ladder(method)
-    # chi_n(t) = sin(pi*(n+1)*t) / sin(pi*t), and sin(pi*t) is the first sine
-    _, sines = _phases(Fraction(t), method.terms)
-    base_terms = coefficients * (sines / sines[0])
+    weights, ladder = _ladder(method)
+    if (math.pi * t * method.terms) ** 2 < 2.0**-53:
+        # chi_n(t) = (n+1) * (1 - O((pi*(n+1)*t)^2)) rounds to n + 1.  This also keeps a
+        # subnormal t exact, whose sines below would be rounded one by one.
+        characters = weights
+    else:
+        # chi_n(t) = sin(pi*(n+1)*t) / sin(pi*t), and sin(pi*t) is the first sine
+        _, sines = _phases(Fraction(t), method.terms)
+        characters = sines / sines[0]
+    base_terms = coefficients * characters
     # Each damping is 1 - O(n) near n = 0, so the undamped sum is split off: the large
     # early terms enter it alone, not every node's sum, whose rounding Richardson's
     # weights amplify.  The Neville step maps the constant undamped part to itself.
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow is judged below
         undamped = _RECONSTRUCTION_FACTOR * float(np.sum(base_terms))
         samples = [
-            (h, _RECONSTRUCTION_FACTOR * float(np.sum(base_terms * (damping - 1.0))))
-            for h, damping in ladder
+            (h, _RECONSTRUCTION_FACTOR * float(np.sum(base_terms * excess)))
+            for h, excess in ladder
         ]
     change, last_change = extrapolate_to_zero(samples)
     value = undamped + change.real

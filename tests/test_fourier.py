@@ -345,8 +345,9 @@ def mp_localization(space: QHSpace, w: int) -> tuple[complex, float]:
 def mp_same_sums(space: QHSpace, t: float, methods: list[SummationMethod]) -> list[float]:
     """Each method's truncated character series at 30 digits, with exact t and mu.
 
-    The terms, the damping values (the method's floats) and the Richardson
-    step are those of `reconstruct_density`; only the arithmetic is exact.
+    The terms, the damping values (1 plus the method's float damping - 1)
+    and the Richardson step are those of `reconstruct_density`; only the
+    arithmetic is exact.
     The methods share one term count.
     """
     with mpmath.workdps(30):
@@ -359,9 +360,9 @@ def mp_same_sums(space: QHSpace, t: float, methods: list[SummationMethod]) -> li
         sums = []
         for method in methods:
             samples = []
-            for h, damping in fourier._ladder(method)[1]:
-                weights = [damping] * len(terms) if isinstance(damping, float) else damping
-                total = mpmath.fdot(terms, [mpmath.mpf(float(d)) for d in weights])
+            for h, excess in fourier._ladder(method)[1]:
+                excesses = [excess] * len(terms) if isinstance(excess, float) else excess
+                total = mpmath.fdot(terms, [1 + mpmath.mpf(float(e)) for e in excesses])
                 samples.append((mpmath.mpf(h), 2 * mpmath.pi / mpmath.sqrt(2) * total))
             nodes, values = [h for h, _ in samples], [v for _, v in samples]
             for k in range(1, len(values)):
@@ -405,6 +406,15 @@ class TestExactPhases:
         )
         expected, size = mp_localization(space, n + 1)
         assert abs(fourier_coefficient(space, n) - expected) <= 1e-14 * size
+
+    @pytest.mark.parametrize("t", [5e-324, 1e-310])
+    def test_subnormal_t_keeps_the_characters(self, t):
+        # sines of exact phases, each rounded into the subnormal range, gave
+        # 425.74 at t = 5e-324 for this sum of 406.57
+        method = SummationMethod(terms=1000)
+        (expected,) = mp_same_sums(make_s4(), t, [method])
+        value = reconstruct_density(make_s4(), t, method)
+        assert abs(value - expected) <= 1e-14 * abs(expected)
 
     def test_sums_match_the_same_sums_in_mpmath(self, rng):
         methods = [SummationMethod(kind=k, terms=2000) for k in ("abel", "partial", "cesaro")]
