@@ -11,6 +11,7 @@ and `import su2dh` does not load it.
 """
 
 from .expsum import (
+    ExpSumOverflowError,
     GammaRangeError,
     RationalPoleFunction,
     exp_sum_extrapolated,
@@ -63,6 +64,7 @@ __all__ = [
     "DensityOverflowError",
     "DensityResult",
     "EvalOptions",
+    "ExpSumOverflowError",
     "FixedComponent",
     "GammaRangeError",
     "NonRealDensityError",

@@ -16,6 +16,7 @@ validation error, 3 numeric failure.
 from __future__ import annotations
 
 import argparse
+import cmath
 import csv
 import io
 import json
@@ -24,7 +25,13 @@ import sys
 from fractions import Fraction
 from typing import Any
 
-from .expsum import RationalPoleFunction, _check_gamma, exp_sum_extrapolated, exp_sum_residue
+from .expsum import (
+    ExpSumOverflowError,
+    RationalPoleFunction,
+    _check_gamma,
+    exp_sum_extrapolated,
+    exp_sum_residue,
+)
 from .extrapolation import abel_ladder
 from .fourier import SummationMethod, reconstruct_density
 from .model import SpaceFormatError, load_space, named, require_interior_alcove
@@ -52,7 +59,7 @@ _WALL_POLICIES = {
     "right": WallPolicy.RIGHT_LIMIT,
 }
 
-_NUMERIC_ERRORS = (WallError, NonRealDensityError, DensityOverflowError)
+_NUMERIC_ERRORS = (WallError, NonRealDensityError, DensityOverflowError, ExpSumOverflowError)
 
 # Each point of a grid costs one Fraction and one float before any
 # evaluation, so a tiny step must be refused rather than enumerated.  The
@@ -348,6 +355,8 @@ def _cmd_lemma(args: argparse.Namespace) -> int:
         raise SpaceFormatError("--tol must be finite and positive")
 
     residue_value = exp_sum_residue(f, args.gamma)
+    if not cmath.isfinite(residue_value):
+        raise ExpSumOverflowError("numeric overflow: the residue value is not finite")
     oracle_value = exp_sum_extrapolated(f, args.gamma, M=args.M, damping_r=args.r)
     diff = abs(residue_value - oracle_value)
     passed = diff <= args.tol * (1.0 + abs(residue_value))

@@ -27,30 +27,40 @@ for the density evaluator: the density formulas are exactly two instances of
 this identity with gamma = pi*(t + mu) and gamma = pi*(mu - t), and
 `su2dh.residue` compiles its chamber polynomials from `bernoulli_values` too.
 
-`RationalPoleFunction` evaluates sum_k a_k x^{-k} for the lemma; the Fourier
-path folds the pair f(w), f(-w) into real polynomials in 1/w of its own
-(`fourier._fold`).  A direct summation oracle is included.  It
-pairs m with -m, so the terms are e^{i*m*gamma} f(m) + e^{-i*m*gamma} f(-m).
-For k = 1 the series is only conditionally convergent, so the oracle
-supports Abel damping r^{|m|}, and `exp_sum_extrapolated` removes the
-damping bias by Richardson extrapolation in 1 - r.  Its ladder
-(`extrapolation.abel_ladder`) increases the damping (r moving away from 1)
-so that the truncation error at M terms stays negligible for every node; the
-undamped terms are computed once and shared by all nodes.
+`RationalPoleFunction` evaluates sum_k a_k x^{-k} for the lemma.  A direct
+summation oracle is included.  It pairs m with -m, so the terms are
+e^{i*m*gamma} f(m) + e^{-i*m*gamma} f(-m).  For k = 1 the series is only
+conditionally convergent, so the oracle supports Abel damping r^{|m|}, and
+`exp_sum_extrapolated` removes the damping bias by Richardson extrapolation
+in 1 - r.  Its ladder (`extrapolation.abel_ladder`) increases the damping (r
+moving away from 1) so that the truncation error at M terms stays negligible
+for every node; the undamped terms are computed once and shared by all nodes.
 
-The oracle's elementwise work runs in blocks of 4096 terms.  One ladder of
-powers of 1/m per block gives both f(m) and f(-m)
-(`RationalPoleFunction._both_signs`), and the phase is cos and sin of
-gamma*m, written into the two halves of one complex array.  A block's
-temporaries are at most 64 KB, under glibc's 128 KB threshold for serving an
-allocation with a fresh mmap, so the heap reuses them.  Whole-length
-temporaries, about 45 per call at M = 100,000, were each mapped and
-page-faulted afresh, which took about half of the call.  Only the terms and
-one array of damped terms are M long: about 33 bytes per term at the peak,
-against 88 with whole-length temporaries.  Each sum is still one ``np.sum``
-over all M terms, because partial sums per block would change numpy's
-pairwise order, so the values are those of whole-array evaluation, bit for
-bit.
+The oracle streams its terms in blocks of 4096 and builds no array of length
+M, so its memory does not grow with M (under 1 MB at the peak).  A block
+m = s + j, with s a multiple of 4096 and j = 1..4096, is built in real
+arithmetic:
+
+* Fold.  With f = E + O split into its even and odd orders, f(-m) = E - O,
+  so a pair is 2*(cos(gamma*m)*E + i*sin(gamma*m)*O), the identity
+  `fourier._fold` uses.  E and O are real Horner polynomials in 1/m^2 for
+  their real and imaginary parts; no complex power of 1/m and no f(-m) is
+  formed.
+* Phases.  e^{i*gamma*m} = e^{i*gamma*s} e^{i*gamma*j}, from one table of
+  the 4096 in-block phases and one of the ceil(M/4096) block heads, combined
+  by angle addition.  Each angle gamma*k is formed exactly from a split of
+  gamma (`_split`, `_phase_table`), so no phase carries the error of a
+  rounded angle, 0.5 ulp(gamma*m), or 5.8e-11 rad at m = 1e5 near 2*pi.
+* Damping.  r^m = r^s r^j, so with U the sum of a block's terms and X that of
+  its terms times r^j - 1, from one expm1 table of 4096 per radius, the
+  block adds U + r^s*X + (r^s - 1)*U to a node.  U and X are numpy's pairwise
+  sums along contiguous rows.
+
+Each node's block parts are added by ``math.fsum`` and rounded once, so a
+node's value does not depend on the other radii of the call, and
+`exp_sum_extrapolated` is exactly `extrapolate_to_zero` of the nodes'
+`exp_sum_partial` values.  A sum that is not finite is refused with
+`ExpSumOverflowError`.
 
 numpy is imported inside the functions that build arrays, not at module
 level, because the residue path and the CLI must start without it.
@@ -76,13 +86,18 @@ _TWO_PI = 2.0 * math.pi
 # float quotient, with a denominator that keeps `bernoulli_values` fast.
 _TWO_PI_EXACT = 2 * Fraction("3.141592653589793238462643383280")
 _X_GRID = 2**64
-# Terms per block of the damped-sum oracle (see the module docstring); 1024
-# was slower, and 2048 to 16384 no faster.
+# Terms per block of the damped-sum oracle (see the module docstring); 2048
+# and 16384 were slower, and 8192 no faster.  A power of two, so a block head
+# b*_BLOCK has the significant bits of b, and `_split` keeps its angle exact.
 _BLOCK = 4096
 
 
 class GammaRangeError(ValueError):
     """Raised for gamma outside the open intervals (-2*pi, 0) and (0, 2*pi)."""
+
+
+class ExpSumOverflowError(ArithmeticError):
+    """Raised when an exponential sum of finite data is not finite."""
 
 
 @dataclass(frozen=True)
@@ -112,33 +127,15 @@ class RationalPoleFunction:
         """Evaluate at a scalar or numpy array of nonzero reals."""
         import numpy as np
 
-        out, _ = self._both_signs(np.asarray(m, dtype=float))
-        return complex(out) if out.shape == () else out
-
-    def _both_signs(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """f(x) and f(-x) for a float array x; f(-x) has the bits of ``self(-x)``.
-
-        ``__call__`` returns the first.  One ladder of powers of 1/x serves
-        both signs: 1/(-x) = -(1/x) exactly, so a_k (-x)^{-k} is a_k x^{-k}
-        negated for odd k, and it is subtracted instead of added.  The two can
-        differ only in the sign of a zero, which a sum that starts at +0 never
-        shows, since it cannot become -0.
-        """
-        import numpy as np
-
-        inv = np.divide(1.0, x)
+        inv = np.divide(1.0, np.asarray(m, dtype=float))
         power = np.ones_like(inv)
-        product = np.empty(x.shape, dtype=complex)
-        pos = np.zeros(x.shape, dtype=complex)
-        neg = np.zeros(x.shape, dtype=complex)
+        out = np.zeros(inv.shape, dtype=complex)
         for k in range(1, self.max_order + 1):
-            np.multiply(power, inv, out=power)
+            power = power * inv
             a = self.coeffs.get(k)
             if a is not None:
-                np.multiply(a, power, out=product)
-                np.add(pos, product, out=pos)
-                (np.subtract if k % 2 else np.add)(neg, product, out=neg)
-        return pos, neg
+                out = out + a * power
+        return complex(out) if out.shape == () else out
 
 
 def _check_gamma(gamma: float) -> float:
@@ -192,37 +189,46 @@ def exp_sum_residue(f: RationalPoleFunction, gamma: float) -> complex:
     )
 
 
-def _blocks(M: int):
-    """Slices of m = 1..M, ``_BLOCK`` at a time, with the values of m in each."""
+def _split(x: float) -> tuple[float, float]:
+    """x = hi + lo exactly, with hi the float x truncated to 26 significant bits.
+
+    hi * k is then exact for every integer k of at most 27 significant bits,
+    and |lo| < 2^-25 |x|, so lo * k rounds off less than 2^-78 |x*k|.
+    """
+    mantissa, exponent = math.frexp(x)
+    hi = math.ldexp(math.trunc(math.ldexp(mantissa, 26)), exponent - 26)
+    return hi, x - hi
+
+
+def _phase_table(gamma: tuple[float, float], k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """cos and sin of gamma*k for the integers k, with gamma = hi + lo from `_split`.
+
+    The angle hi*k + lo*k rounds to a float a, and the fast two-sum
+    (|hi*k| >= |lo*k|) gives its rounding error e, |e| <= ulp(a)/2, exactly;
+    angle addition then gives the phase of a + e.
+    """
     import numpy as np
 
-    for start in range(0, M, _BLOCK):
-        stop = min(start + _BLOCK, M)
-        yield slice(start, stop), np.arange(start + 1, stop + 1, dtype=float)
+    hi, lo = gamma[0] * k, gamma[1] * k
+    angle = hi + lo
+    error = (hi - angle) + lo
+    cos, sin = np.cos(angle), np.sin(angle)
+    cos_e, sin_e = np.cos(error), np.sin(error)
+    return cos * cos_e - sin * sin_e, sin * cos_e + cos * sin_e
 
 
-def _paired_terms(f: RationalPoleFunction, gamma: float, M: int) -> np.ndarray:
-    """The undamped terms e^{i*m*gamma} f(m) + e^{-i*m*gamma} f(-m), m = 1..M."""
-    if not isinstance(M, int) or isinstance(M, bool) or M < 1:
-        raise ValueError("M must be an integer >= 1")
-    import numpy as np
+def _poly(coefficients: tuple[float, ...], v: np.ndarray, factor: np.ndarray):
+    """factor * sum_j coefficients[j] * v**j by Horner's rule; 0.0 if every coefficient is 0.
 
-    terms = np.empty(M, dtype=complex)
-    for block, m in _blocks(M):
-        f_pos, f_neg = f._both_signs(m)
-        angle = gamma * m
-        phase = np.empty(len(m), dtype=complex)
-        np.cos(angle, out=phase.real)
-        np.sin(angle, out=phase.imag)
-        # No complex product is written over one of its operands.  numpy
-        # 2.4 on x86-64 rounds an in-place complex multiply of length 1
-        # differently from an out-of-place one (917 of 2000 random pairs;
-        # none differed at lengths 2 to 100,000), and a last block may
-        # hold one term.
-        np.multiply(phase, f_pos, out=terms[block])
-        np.multiply(phase.conj(), f_neg, out=f_pos)
-        terms[block] += f_pos
-    return terms
+    Zero coefficients above the last nonzero one cost nothing.
+    """
+    total = None
+    for c in reversed(coefficients):
+        if total is not None:
+            total = total * v
+        if c:
+            total = c if total is None else total + c
+    return 0.0 if total is None else total * factor
 
 
 def _damped_sums(
@@ -230,25 +236,64 @@ def _damped_sums(
 ) -> list[complex]:
     """sum_{0 < |m| <= M} e^{i*m*gamma} f(m) r^{|m|} for each r in ``radii``.
 
-    The undamped terms are computed once, and every radius writes its damped
-    terms into one shared array.  Each sum is one ``np.sum`` over all M
-    terms: partial sums per block would change numpy's pairwise order, and
-    with it the last bits.
+    The terms are built ``_BLOCK`` at a time, m = s + j with s a multiple of
+    ``_BLOCK`` and j = 1..``_BLOCK`` (see the module docstring).  Each radius
+    sums a block as U + r^s*X + (r^s - 1)*U, with U the sum of the block's
+    undamped terms and X that of its terms times r^j - 1, and each node's
+    block parts are added by ``math.fsum`` and rounded once.
     """
+    if not isinstance(M, int) or isinstance(M, bool) or M < 1:
+        raise ValueError("M must be an integer >= 1")
+    if not math.isfinite(gamma):
+        raise GammaRangeError(f"gamma must be finite, got {gamma!r}")
     import numpy as np
 
-    terms = _paired_terms(f, gamma, M)
-    damped = np.empty_like(terms)
-    sums = []
-    for r in radii:
-        if r == 1.0:
-            sums.append(complex(np.sum(terms)))
-            continue
-        log_r = math.log(r)
-        for block, m in _blocks(M):
-            np.multiply(terms[block], np.exp(m * log_r), out=damped[block])
-        sums.append(complex(np.sum(damped)))
+    # f(z) = E + O with E = v*P(v) its even orders and O = u*Q(v) its odd
+    # ones, u = 1/z and v = u^2; the pair m, -m gives 2*(cos*E + i*sin*O)
+    even = [f.coeffs.get(k, 0j) for k in range(2, f.max_order + 1, 2)]
+    odd = [f.coeffs.get(k, 0j) for k in range(1, f.max_order + 1, 2)]
+    even_re, even_im = tuple(a.real for a in even), tuple(a.imag for a in even)
+    odd_re, odd_im = tuple(a.real for a in odd), tuple(a.imag for a in odd)
+    offsets = np.arange(1, min(M, _BLOCK) + 1, dtype=float)
+    heads = np.arange(0, M, _BLOCK, dtype=float)
+    log_r = np.log(np.array(radii, dtype=float))
+    excess = np.expm1(np.multiply.outer(log_r, offsets))[:, None, :]
+    head_excess = np.expm1(np.multiply.outer(log_r, heads))
+    undamped = np.empty((len(heads), 2))
+    excess_sums = np.empty((len(heads), len(radii), 2))
+    with np.errstate(over="ignore", invalid="ignore"):  # judged on the sums below
+        split = _split(gamma)
+        cos_j, sin_j = _phase_table(split, offsets)
+        cos_s, sin_s = _phase_table(split, heads)
+        for b, s in enumerate(heads):
+            n = min(_BLOCK, M - int(s))
+            cos_b, sin_b = cos_j[:n], sin_j[:n]
+            u = 1.0 / (s + offsets[:n])
+            v = u * u
+            cos_v = (cos_s[b] * cos_b - sin_s[b] * sin_b) * v
+            sin_u = (sin_s[b] * cos_b + cos_s[b] * sin_b) * u
+            # half of each term, as its real and imaginary rows
+            half = np.empty((2, n))
+            np.subtract(_poly(even_re, v, cos_v), _poly(odd_im, v, sin_u), out=half[0])
+            np.add(_poly(even_im, v, cos_v), _poly(odd_re, v, sin_u), out=half[1])
+            np.sum(half, axis=-1, out=undamped[b])
+            np.sum(excess[..., :n] * half, axis=-1, out=excess_sums[b])
+        sums = []
+        for i, r in enumerate(radii):
+            head = head_excess[i][:, None]
+            parts = np.concatenate([undamped, (head + 1.0) * excess_sums[:, i], head * undamped])
+            try:
+                re, im = (2.0 * math.fsum(parts[:, c]) for c in (0, 1))
+            except (OverflowError, ValueError):  # an overflow on the way, or inf - inf
+                re = im = math.nan
+            sums.append(_finite(complex(re, im), f"the damped sum at r = {r!r}"))
     return sums
+
+
+def _finite(value: complex, what: str) -> complex:
+    if not cmath.isfinite(value):
+        raise ExpSumOverflowError(f"numeric overflow: {what} is not finite")
+    return value
 
 
 def exp_sum_partial(
@@ -277,4 +322,4 @@ def exp_sum_extrapolated(
     ladder = abel_ladder(damping_r, levels)
     sums = _damped_sums(f, gamma, M, [1.0 - h for h in ladder])
     value, _ = extrapolate_to_zero(list(zip(ladder, sums)))
-    return value
+    return _finite(value, "the extrapolated sum")

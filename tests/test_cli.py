@@ -489,6 +489,20 @@ class TestLemma:
     def test_complex_coefficient_grammar(self):
         run_cli("lemma", "--coeff", "2:0.5:-0.25", "--gamma", "2.0")
 
+    @pytest.mark.parametrize(
+        "args",
+        [
+            # the residue is -inf; inf <= inf must not print PASS
+            ("--coeff", "2:1e308", "--coeff", "3:0:1e308", "--gamma", "1", "--M", "5000"),
+            # the residue is finite and the damped sums overflow
+            ("--coeff", "1:5e307", "--gamma", "6.2517693806436885", "--M", "100"),
+        ],
+    )
+    def test_overflow_is_a_numeric_failure(self, args):
+        proc = run_cli("lemma", *args, "--format", "json", expect=3)
+        assert proc.stdout == "" and proc.stderr.startswith("error: numeric overflow: ")
+        assert "Warning" not in proc.stderr
+
     def test_json_format(self):
         proc = run_cli(
             "lemma", "--coeff", "2:1", "--gamma", "3.14159265", "--format", "json"

@@ -3,10 +3,13 @@
 import math
 from fractions import Fraction
 
+import mpmath
 import pytest
 import sympy
 
+from su2dh import expsum
 from su2dh.expsum import (
+    ExpSumOverflowError,
     GammaRangeError,
     RationalPoleFunction,
     bernoulli_values,
@@ -19,6 +22,70 @@ from su2dh.series import add, bose_kernel, exp_linear, monomial, mul, reciprocal
 from conftest import exp_sum_reference
 
 TWO_PI = 2.0 * math.pi
+BLOCK = expsum._BLOCK
+# fixed-point unit of the same-sum reference: 2^-140, about 42 digits
+UNIT_BITS = 140
+UNIT = 1 << UNIT_BITS
+
+
+def same_damped_sums(coeffs, gamma, radii, checkpoints):
+    """The oracle's truncated damped sums at far more than 30 digits.
+
+    For each M in ``checkpoints``: the sums of the terms
+    e^{i*m*gamma} f(m) + e^{-i*m*gamma} f(-m) times r^m, m = 1..M, for each
+    r in ``radii`` (as Fractions), and the sum of |terms| (a float).  The float
+    gamma, coefficients and radii are taken exactly.  cos and sin of gamma
+    come from mpmath; the rest runs in integers in units of 2^-140, where each
+    product truncates once, so after 10^5 terms the sums are good to about
+    10^-36.
+    """
+    def fixed(x):
+        return round(Fraction(x) * UNIT)
+
+    with mpmath.workprec(UNIT_BITS + 20):
+        angle = mpmath.mpf(gamma)
+        c1, s1 = (int(mpmath.nint(g(angle) * UNIT)) for g in (mpmath.cos, mpmath.sin))
+    parts = [(k, fixed(a.real), fixed(a.imag)) for k, a in coeffs.items()]
+    factors = [fixed(r) for r in radii]
+    damping = [UNIT] * len(radii)
+    sums = [[0, 0] for _ in radii]
+    c, s, size, out = UNIT, 0, 0.0, {}
+    for m in range(1, max(checkpoints) + 1):
+        c, s = (c * c1 - s * s1) >> UNIT_BITS, (s * c1 + c * s1) >> UNIT_BITS
+        # f(m) = E + O by parity of the order; the pair is 2*(cos*E + i*sin*O)
+        even, odd = [0, 0], [0, 0]
+        for k, re, im in parts:
+            power = m**k
+            part = odd if k % 2 else even
+            part[0] += re // power
+            part[1] += im // power
+        term_re = 2 * (c * even[0] - s * odd[1]) >> UNIT_BITS
+        term_im = 2 * (c * even[1] + s * odd[0]) >> UNIT_BITS
+        size += math.hypot(term_re / UNIT, term_im / UNIT)
+        for i, factor in enumerate(factors):
+            damping[i] = damping[i] * factor >> UNIT_BITS
+            sums[i][0] += term_re * damping[i] >> UNIT_BITS
+            sums[i][1] += term_im * damping[i] >> UNIT_BITS
+        if m in checkpoints:
+            out[m] = [(Fraction(re, UNIT), Fraction(im, UNIT)) for re, im in sums], size
+    return out
+
+
+def neville(nodes, values):
+    """The Neville step of `extrapolate_to_zero`, in exact arithmetic on Fraction pairs."""
+    nodes = [Fraction(h) for h in nodes]
+    values = list(values)
+    for k in range(1, len(values)):
+        for i in range(len(values) - k):
+            values[i] = tuple(
+                (-nodes[i + k] * a + nodes[i] * b) / (nodes[i] - nodes[i + k])
+                for a, b in zip(values[i], values[i + 1])
+            )
+    return values[0]
+
+
+def off_by(value, exact):
+    return abs(value - complex(float(exact[0]), float(exact[1])))
 
 
 class TestPoleFunction:
@@ -28,8 +95,7 @@ class TestPoleFunction:
         assert f(-2.0) == pytest.approx(-1.0 + 0.125j)
 
     def test_evaluation_keeps_its_bits_and_shape(self, rng):
-        # f(m) comes from the ladder shared with f(-m); the plain ladder
-        # below is the reference for both
+        # the plain ladder below is the reference for f(m) and f(-m)
         import numpy as np
 
         def reference(f, m):
@@ -56,7 +122,7 @@ class TestPoleFunction:
                 value = np.asarray(value)
             assert value.shape == expected.shape and value.dtype == expected.dtype
             assert value.tobytes() == expected.tobytes()
-            _, negated = f._both_signs(np.asarray(m, dtype=float))
+            negated = np.asarray(f(-np.asarray(m, dtype=float)))
             assert negated.tobytes() == reference(f, -np.asarray(m, dtype=float)).tobytes()
 
     def test_order_floor(self):
@@ -219,13 +285,12 @@ class TestPartialSums:
         value = exp_sum_partial(f, gamma, M, damping_r)
         assert abs(value - np.sum(terms)) <= 1e-14 * np.sum(np.abs(terms))
 
-    def test_oracle_memory_is_two_arrays_of_terms(self):
-        # the undamped and the damped terms are the only arrays of length M;
-        # the rest of the work runs in fixed-size blocks
+    def test_oracle_memory_does_not_grow_with_M(self):
+        # the terms are streamed in fixed-size blocks; no array is M long
         import tracemalloc
 
         f = RationalPoleFunction({1: 0.3 + 0.2j, 2: -0.5, 5: 0.7j})
-        M = 100_000
+        M = 400_000
         exp_sum_extrapolated(f, 1.3, M=M)
         tracemalloc.start()
         try:
@@ -233,7 +298,79 @@ class TestPartialSums:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 40 * M
+        assert peak < 1_000_000
+
+    def test_non_finite_gamma_rejected(self):
+        f = RationalPoleFunction({1: 1.0})
+        for gamma in (math.inf, -math.inf, math.nan):
+            with pytest.raises(GammaRangeError, match="gamma must be finite"):
+                exp_sum_partial(f, gamma, 10)
+
+    @pytest.mark.parametrize(
+        "coeffs, gamma, M",
+        [
+            # 1e308 sums to about 1.2e308, but its terms overflow on the way
+            ({2: 1e308, 3: 1e308j}, -1.0, 5000),
+            # the half sums at the block edges pass 1.8e308 in math.fsum
+            ({1: 1.05e308}, math.pi / 8192, 8192),
+        ],
+    )
+    def test_overflow_is_refused(self, coeffs, gamma, M):
+        f = RationalPoleFunction(coeffs)
+        with pytest.raises(ExpSumOverflowError, match="numeric overflow: the damped sum"):
+            exp_sum_partial(f, gamma, M)
+        with pytest.raises(ExpSumOverflowError, match="numeric overflow: the damped sum"):
+            exp_sum_extrapolated(f, gamma, M)
+
+
+class TestOracleSameSums:
+    """The oracle against far more precise values of the same truncated sums."""
+
+    @pytest.mark.parametrize(
+        "gamma", [-2.3, 1.3, 1e-3, -1e-3, TWO_PI - 1e-3, -(TWO_PI - 1e-3)]
+    )
+    def test_block_edges_against_exact_sums(self, rng, gamma):
+        # orders 1, 2 and 5 cover both parities; M covers one term, the block
+        # edges and a last partial block; the ladder radii give the Neville step
+        f = RationalPoleFunction(
+            {k: complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for k in (1, 2, 5)}
+        )
+        ladder = abel_ladder(0.999, 2)
+        radii = [1.0, *(1.0 - h for h in ladder)]
+        checkpoints = [1, BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 5]
+        exact = same_damped_sums(f.coeffs, gamma, radii, checkpoints)
+        for M in checkpoints:
+            sums, size = exact[M]
+            for r, value in zip(radii[:2], sums[:2]):
+                assert off_by(exp_sum_partial(f, gamma, M, r), value) <= 1e-14 * size
+            extrapolated = exp_sum_extrapolated(f, gamma, M, 0.999, 2)
+            assert off_by(extrapolated, neville(ladder, sums[1:])) <= 1e-14 * size
+
+    @pytest.mark.parametrize("gamma", [1.3, -2.3, 1e-3, TWO_PI - 1e-3])
+    def test_phase_tables_match_mpmath(self, rng, gamma):
+        # in-block offsets and block heads up to m = 10^6: each phase is within
+        # 2 ulp(1) of cos and sin of the exact gamma*k, where a rounded angle
+        # fl(gamma*k) would be off by up to 0.5 ulp(gamma*k), about 4.7e-10
+        import numpy as np
+
+        ks = [0, 1, 2, 3, BLOCK - 1, BLOCK, BLOCK + 1]
+        ks += [rng.randrange(BLOCK) for _ in range(50)]
+        ks += [BLOCK * rng.randrange(10**6 // BLOCK) for _ in range(50)]
+        cos, sin = expsum._phase_table(expsum._split(gamma), np.array(ks, dtype=float))
+        with mpmath.workdps(40):
+            for k, c, s in zip(ks, cos, sin):
+                angle = mpmath.mpf(gamma) * k
+                assert abs(c - mpmath.cos(angle)) <= 2 * 2.0**-52
+                assert abs(s - mpmath.sin(angle)) <= 2 * 2.0**-52
+
+    def test_long_sum_keeps_its_phases(self):
+        # f = 1/z at M = 10^5: a phase cos(fl(gamma*m)) is off by up to
+        # 0.5 ulp(gamma*m), 5.8e-11 rad at the last term
+        f = RationalPoleFunction({1: 1.0})
+        M = 100_000
+        for gamma in (TWO_PI - 1e-3, -2.9):
+            (value,), size = same_damped_sums(f.coeffs, gamma, [1.0], [M])[M]
+            assert off_by(exp_sum_partial(f, gamma, M), value) <= 1e-15 * size
 
 
 class TestAbelLadder:
