@@ -217,10 +217,12 @@ def _phase_table(gamma: tuple[float, float], k: np.ndarray) -> tuple[np.ndarray,
     return cos * cos_e - sin * sin_e, sin * cos_e + cos * sin_e
 
 
-def _poly(coefficients: tuple[float, ...], v: np.ndarray, factor: np.ndarray):
-    """factor * sum_j coefficients[j] * v**j by Horner's rule; 0.0 if every coefficient is 0.
+def _poly(coefficients: tuple[float, ...], v, factor, empty=None):
+    """factor * sum_j coefficients[j] * v**j by Horner's rule; v is a float or an array.
 
-    Zero coefficients above the last nonzero one cost nothing.
+    It is ``empty`` when every coefficient is 0, and zero coefficients above
+    the last nonzero one cost nothing.  `fourier` keeps the default None and
+    skips such a term; the oracle passes 0.0.
     """
     total = None
     for c in reversed(coefficients):
@@ -228,7 +230,7 @@ def _poly(coefficients: tuple[float, ...], v: np.ndarray, factor: np.ndarray):
             total = total * v
         if c:
             total = c if total is None else total + c
-    return 0.0 if total is None else total * factor
+    return empty if total is None else total * factor
 
 
 def _damped_sums(
@@ -274,8 +276,8 @@ def _damped_sums(
             sin_u = (sin_s[b] * cos_b + cos_s[b] * sin_b) * u
             # half of each term, as its real and imaginary rows
             half = np.empty((2, n))
-            np.subtract(_poly(even_re, v, cos_v), _poly(odd_im, v, sin_u), out=half[0])
-            np.add(_poly(even_im, v, cos_v), _poly(odd_re, v, sin_u), out=half[1])
+            np.subtract(_poly(even_re, v, cos_v, 0.0), _poly(odd_im, v, sin_u, 0.0), out=half[0])
+            np.add(_poly(even_im, v, cos_v, 0.0), _poly(odd_re, v, sin_u, 0.0), out=half[1])
             np.sum(half, axis=-1, out=undamped[b])
             np.sum(excess[..., :n] * half, axis=-1, out=excess_sums[b])
         sums = []

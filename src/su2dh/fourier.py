@@ -57,11 +57,14 @@ alcove,
 
 with the character and weight folded together analytically as
 2*sin(pi*(n+1)*t)*sin(pi*t), which cancels the only endpoint singularities
-occurring in this problem class.
+occurring in this problem class.  Its Gauss-Legendre nodes and weights are
+Python floats from Newton's method on the Legendre recurrence (`_gauss_nodes`),
+built once per point count in O(points^2), so `QuadratureRule` takes at most
+1024 points.  An integrand value that is not finite is refused at once.
 
 numpy is imported inside the functions that build arrays, not at module
 level, because `import su2dh`, the residue path and the CLI must start
-without it.
+without it; `fourier_coefficient` and `coefficient_quadrature` never load it.
 """
 
 from __future__ import annotations
@@ -72,6 +75,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import TYPE_CHECKING, Callable, Sequence
 
+from .expsum import _poly
 from .extrapolation import abel_ladder, extrapolate_to_zero
 from .model import VOL_G, VOL_T, FixedComponent, QHSpace, require_interior_alcove
 from .residue import DEFAULT_OPTIONS, DensityOverflowError, EvalOptions, NonRealDensityError
@@ -177,21 +181,6 @@ def _phases(x: Fraction, terms: int) -> tuple[np.ndarray, np.ndarray]:
     rotations = np.array([[high.real, -high.imag], [high.imag, high.real]]).transpose(0, 2, 1)
     table = rotations @ np.array([low.real, low.imag])
     return table[0].ravel()[:terms], table[1].ravel()[:terms]
-
-
-def _poly(coefficients: tuple[float, ...], v, factor):
-    """factor * sum_j coefficients[j] * v**j by Horner's rule; v is a float or an array.
-
-    It is None when every coefficient is 0, and zero coefficients above the
-    last nonzero one cost nothing.
-    """
-    total = None
-    for c in reversed(coefficients):
-        if total is not None:
-            total = total * v
-        if c:
-            total = c if total is None else total + c
-    return None if total is None else total * factor
 
 
 def _products(*pairs):
@@ -402,6 +391,8 @@ def reconstruct_density(
 _QUAD_REL_TOL = 1e-11
 _QUAD_ABS_TOL = 1e-12
 _QUAD_CLIP = 1e-9
+# The nodes cost O(points^2) to build in Python: about 0.5-0.9 s at this bound.
+_QUAD_MAX_POINTS = 1024
 
 
 @dataclass(frozen=True)
@@ -415,6 +406,10 @@ class QuadratureRule:
         points, refinements = self.points, self.max_refinements
         if not isinstance(points, int) or isinstance(points, bool) or points < 2:
             raise ValueError("quadrature needs at least 2 points per panel")
+        if points > _QUAD_MAX_POINTS:
+            raise ValueError(
+                f"quadrature takes at most {_QUAD_MAX_POINTS} points per panel, got {points}"
+            )
         if not isinstance(refinements, int) or isinstance(refinements, bool) or refinements < 1:
             raise ValueError("max_refinements must be an integer >= 1")
 
@@ -426,12 +421,61 @@ class QuadratureResult:
     panels: int
 
 
-@lru_cache(maxsize=8)
-def _gauss_nodes(points: int) -> tuple[np.ndarray, np.ndarray]:
-    import numpy as np
+def _legendre(n: int, x: float) -> tuple[float, float]:
+    """P_n(x) and P_{n-1}(x) by the three-term recurrence, in floats."""
+    p0, p1 = 1.0, x
+    for k in range(1, n):
+        p0, p1 = p1, ((2 * k + 1) * x * p1 - k * p0) / (k + 1)
+    return p1, p0
 
-    nodes, weights = np.polynomial.legendre.leggauss(points)
-    return nodes, weights
+
+def _legendre_fixed(n: int, x: float) -> tuple[float, float]:
+    """`_legendre` in integers scaled by 2^128, each value rounded once to a float.
+
+    x is a float, so it is exact at this scale, and each step adds an error
+    of under two units of 2^-128.
+    """
+    numerator, denominator = x.as_integer_ratio()
+    one = 1 << 128
+    scaled = (numerator << 128) // denominator
+    p0, p1 = one, scaled
+    for k in range(1, n):
+        p0, p1 = p1, (((2 * k + 1) * scaled * p1 >> 128) - k * p0) // (k + 1)
+    return p1 / one, p0 / one
+
+
+@lru_cache(maxsize=8)
+def _gauss_nodes(points: int) -> tuple[tuple[float, ...], tuple[float, ...]]:
+    """Gauss-Legendre nodes, ascending, and weights on [-1, 1], in Python floats.
+
+    Each positive root x of P_n is found by Newton's method from
+    cos(pi*(i + 3/4)/(n + 1/2)), with P_n'(x) = n*(x*P_n - P_{n-1})/(x^2 - 1),
+    until the step stops shrinking.  One last step takes P_n and P_{n-1}
+    from `_legendre_fixed`, and so does the weight 2/((1 - x^2)*P_n'(x)^2),
+    to first order at the root: against a 40-digit reference the nodes are
+    within half an ulp and the weights within a few.  A node -x pairs with
+    each x, and an odd count has the middle node 0.0.  The cost is
+    O(points^2).
+    """
+    n = points
+    roots = [math.cos(math.pi * (i + 0.75) / (n + 0.5)) for i in range(n // 2)]
+    nodes, weights = [0.0] * n, [0.0] * n
+    for i, x in enumerate(roots + [0.0] * (n % 2)):
+        last = math.inf
+        while x:
+            p, q = _legendre(n, x)
+            step = p * (x - 1.0) * (x + 1.0) / (n * (x * p - q))
+            if not abs(step) < last:
+                break
+            x, last = x - step, abs(step)
+        p, q = _legendre_fixed(n, x)
+        dp = n * (x * p - q) / ((x - 1.0) * (x + 1.0))
+        # (1 - r^2) P_n'(r)^2 at the root r = x - p/dp, to first order in p/dp
+        denominator = (1.0 - x) * (1.0 + x) * dp * dp - 2.0 * x * p * dp
+        weights[i] = weights[n - 1 - i] = 2.0 / denominator
+        x -= p / dp
+        nodes[i], nodes[n - 1 - i] = -x, x
+    return tuple(nodes), tuple(weights)
 
 
 def _composite_gauss(
@@ -468,7 +512,10 @@ def coefficient_quadrature(
     weight = math.pi * (n + 1)
 
     def integrand(t: float) -> float:
-        return VOL_G * density_values(t) * 2.0 * math.sin(weight * t) * math.sin(math.pi * t)
+        value = VOL_G * density_values(t) * 2.0 * math.sin(weight * t) * math.sin(math.pi * t)
+        if not math.isfinite(value):
+            raise QuadratureError(f"the integrand is not finite at t = {t!r}: {value!r}")
+        return value
 
     a = _QUAD_CLIP
     b = 1.0 - _QUAD_CLIP
@@ -486,5 +533,5 @@ def coefficient_quadrature(
         panels *= 2
     raise QuadratureError(
         f"quadrature did not converge after {quad.max_refinements} refinements; "
-        f"last refinement changed the value by {abs(current - previous):.3e}"
+        f"last refinement changed the value by {disagreement:.3e}"
     )

@@ -469,7 +469,7 @@ class TestQuadrature:
     )
     def test_rule_fields_are_checked(self, field, value):
         # refused here, not later in coefficient_quadrature as an UnboundLocalError,
-        # a QuadratureError about a change of 0, or a TypeError from numpy or range
+        # a QuadratureError about a change of 0, or a TypeError from range
         message = {
             "points": "quadrature needs at least 2 points per panel",
             "max_refinements": "max_refinements must be an integer >= 1",
@@ -489,3 +489,97 @@ class TestQuadrature:
         rule = QuadratureRule(points=8, max_refinements=6)
         with pytest.raises(QuadratureError, match="did not converge"):
             coefficient_quadrature(lambda t: 1.0 / abs(t - 0.5), 0, rule)
+
+    def test_points_above_the_bound_are_refused(self):
+        # the nodes cost O(points^2) in Python, so an absurd count would hang
+        assert QuadratureRule(points=1024).points == 1024
+        with pytest.raises(ValueError, match="at most 1024 points per panel, got 1025"):
+            QuadratureRule(points=1025)
+
+    def test_non_convergence_reports_the_last_change(self):
+        # the message gave the change of the last estimate against itself, 0 or nan
+        from su2dh.fourier import QuadratureError
+
+        rule = QuadratureRule(points=8, max_refinements=6)
+        with pytest.raises(QuadratureError) as info:
+            coefficient_quadrature(lambda t: 1.0 if t < 1 / 3 else 0.0, 0, rule)
+        change = float(str(info.value).rsplit(" ", 1)[1])
+        assert 1e-9 < change < 1e-3
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_integrand_is_refused_at_once(self, value):
+        # refused on the first panel, not after 12 refinements of NaN
+        from su2dh.fourier import QuadratureError
+
+        calls = []
+
+        def values(t):
+            calls.append(t)
+            return value if t > 0.7 else 1.0
+
+        with pytest.raises(QuadratureError, match="the integrand is not finite at t = ") as info:
+            coefficient_quadrature(values, 3)
+        assert len(calls) <= 64
+        assert f"at t = {calls[-1]!r}:" in str(info.value)
+
+
+def mp_gauss_nodes(n: int, indices: list[int]) -> list[tuple]:
+    """40-digit Gauss-Legendre node and weight for each i, the i-th largest root of P_n.
+
+    Newton's method on the three-term recurrence from cos(pi*(i + 3/4)/(n + 1/2));
+    i = n // 2 for an odd n is the middle root 0.
+    """
+    def legendre(x):
+        p0, p1 = mpmath.mpf(1), x
+        for k in range(1, n):
+            p0, p1 = p1, ((2 * k + 1) * x * p1 - k * p0) / (k + 1)
+        return p1, n * (x * p1 - p0) / (x * x - 1)
+
+    pairs = []
+    with mpmath.workdps(40):
+        for i in indices:
+            x = mpmath.cos(mpmath.pi * (4 * i + 3) / (4 * n + 2)) if 2 * i + 1 < n else 0
+            for _ in range(50):
+                p, dp = legendre(x)
+                x -= p / dp
+                if abs(p / dp) < mpmath.mpf(10) ** -30:
+                    break
+            _, dp = legendre(x)
+            pairs.append((x, 2 / ((1 - x * x) * dp * dp)))
+    return pairs
+
+
+class TestGaussNodes:
+    COUNTS = (2, 3, 64, 65, 1024)  # 1024 is the bound
+
+    @pytest.mark.parametrize("n", COUNTS)
+    def test_nodes_and_weights_against_mpmath(self, n):
+        nodes, weights = fourier._gauss_nodes(n)
+        assert all(type(v) is float for v in nodes + weights)
+        indices = list(range((n + 1) // 2))
+        if n > 100:  # every 32nd root, the smallest and the largest, to keep mpmath quick
+            indices = indices[::32] + [indices[-1]]
+        for i, (x, w) in zip(indices, mp_gauss_nodes(n, indices)):
+            node, weight = nodes[n - 1 - i], weights[n - 1 - i]
+            assert abs(node - x) <= math.ulp(node) if node else node == x == 0, (n, i)
+            assert abs(weight - w) <= 4 * math.ulp(weight), (n, i)
+
+    @pytest.mark.parametrize("n", COUNTS)
+    def test_nodes_ascend_symmetrically(self, n):
+        nodes, weights = fourier._gauss_nodes(n)
+        assert len(nodes) == len(weights) == n
+        assert all(a < b for a, b in zip(nodes, nodes[1:]))
+        assert nodes == tuple(-x for x in reversed(nodes)) and weights == weights[::-1]
+        if n % 2:
+            middle = nodes[n // 2]
+            assert middle == 0.0 and math.copysign(1.0, middle) == 1.0
+        assert -1.0 < nodes[0] and all(w > 0.0 for w in weights)
+
+    @pytest.mark.parametrize("n", (2, 3, 64, 65))
+    def test_even_powers_integrate_exactly(self, n):
+        # an n-point rule is exact to degree 2n - 1: integral x^(2k) over [-1, 1] = 2/(2k + 1)
+        nodes, weights = fourier._gauss_nodes(n)
+        for k in range(n):
+            exact = 2.0 / (2 * k + 1)
+            value = math.fsum(w * x ** (2 * k) for x, w in zip(nodes, weights))
+            assert abs(value - exact) <= 4 * (k + 1) * 2.0**-52 * exact, (n, k)

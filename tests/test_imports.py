@@ -1,9 +1,12 @@
 """Layering: no library module imports the Laurent-series engine, which is
-the tests' reference, numpy stays off the residue path's start-up, and only
-small frozen configurations key a functools cache."""
+the tests' reference, the library imports only the standard library and
+numpy, numpy stays off the residue path's start-up, only small frozen
+configurations key a functools cache, and the test extras cover what the
+tests import."""
 
 import ast
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -49,6 +52,55 @@ def test_the_guard_sees_each_spelling(tmp_path):
         module = tmp_path / f"m{i}.py"
         module.write_text(line + "\n", encoding="utf-8")
         assert imports_series(module), line
+
+
+def imported_roots(path: Path) -> set[str]:
+    """Top-level names of the modules a file imports anywhere; "su2dh" if relative."""
+    roots = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            roots.update(alias.name.partition(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            roots.add("su2dh" if node.level else node.module.partition(".")[0])
+    return roots
+
+
+def test_library_imports_only_the_standard_library_and_numpy():
+    # the dependency rule: no runtime dependency beyond numpy
+    allowed = set(sys.stdlib_module_names) | {"numpy", "su2dh"}
+    for path in sorted(PACKAGE.glob("*.py")):
+        assert imported_roots(path) <= allowed, path.name
+
+
+def test_the_import_guard_sees_each_spelling(tmp_path):
+    spellings = {
+        "import scipy.special": {"scipy"},
+        "from mpmath import mpf": {"mpmath"},
+        "def f():\n    import sympy as sp": {"sympy"},
+        "from typing import TYPE_CHECKING\nif TYPE_CHECKING:\n    import numpy as np": {
+            "typing", "numpy"
+        },
+        "from . import model\nfrom .residue import density": {"su2dh"},
+    }
+    for i, (text, expected) in enumerate(spellings.items()):
+        module = tmp_path / f"m{i}.py"
+        module.write_text(text + "\n", encoding="utf-8")
+        assert imported_roots(module) == expected, text
+
+
+def test_the_test_extras_cover_what_the_tests_import():
+    tomllib = pytest.importorskip("tomllib")
+    tests = Path(__file__).resolve().parent
+    pyproject = (tests.parent / "pyproject.toml").read_text(encoding="utf-8")
+    project = tomllib.loads(pyproject)["project"]
+    declared = {
+        re.match(r"[A-Za-z0-9_.-]+", requirement).group().lower().replace("-", "_")
+        for requirement in project["dependencies"] + project["optional-dependencies"]["test"]
+    }
+    local = {path.stem for path in tests.glob("*.py")}
+    imported = set().union(*(imported_roots(path) for path in tests.glob("*.py")))
+    third_party = imported - set(sys.stdlib_module_names) - local - {"su2dh"}
+    assert third_party <= declared
 
 
 _CACHES = {"lru_cache", "cache"}
@@ -126,16 +178,21 @@ print(code, "numpy" in sys.modules, "su2dh.series" in sys.modules)
 _WALLED = str(Path(__file__).parent / "golden" / "walled.json")
 
 
-def modules_loaded_by(*args: str) -> tuple[str, bool, bool]:
+def run_child(script: str, *args: str) -> str:
+    """Standard output of a fresh interpreter that runs the script on the arguments."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (str(PACKAGE.parent), os.environ.get("PYTHONPATH")) if p
     ))
     proc = subprocess.run(
-        [sys.executable, "-c", _CHILD, *args],
+        [sys.executable, "-c", script, *args],
         capture_output=True, text=True, env=env, timeout=60.0,
     )
     assert proc.returncode == 0, proc.stderr
-    code, numpy, series = proc.stdout.split()
+    return proc.stdout
+
+
+def modules_loaded_by(*args: str) -> tuple[str, bool, bool]:
+    code, numpy, series = run_child(_CHILD, *args).split()
     return code, numpy == "True", series == "True"
 
 
@@ -158,6 +215,28 @@ def modules_loaded_by(*args: str) -> tuple[str, bool, bool]:
 )
 def test_residue_start_up_does_not_load_numpy(args, code):
     assert modules_loaded_by(*args) == (code, False, False)
+
+
+# A fresh interpreter runs each residue-path entry point on s4, quadrature
+# of the residue density included, and prints whether numpy was loaded.
+_RESIDUE_CHILD = """
+import sys
+import su2dh
+
+space = su2dh.builtin_space("s4")
+su2dh.density(space, 0.3)
+su2dh.scan(space, [0.1, 0.2, 0.7])
+su2dh.central_density(space, su2dh.CentralElement.IDENTITY)
+su2dh.reduced_volume(space, 0.4)
+su2dh.reduced_volume(space, su2dh.CentralElement.MINUS_IDENTITY)
+su2dh.fourier_coefficient(space, 3)
+su2dh.coefficient_quadrature(lambda t: su2dh.density(space, t).total, 2)
+print("numpy" in sys.modules)
+"""
+
+
+def test_residue_entry_points_and_quadrature_do_not_load_numpy():
+    assert run_child(_RESIDUE_CHILD).split() == ["False"]
 
 
 @pytest.mark.parametrize(
