@@ -217,20 +217,31 @@ def _phase_table(gamma: tuple[float, float], k: np.ndarray) -> tuple[np.ndarray,
     return cos * cos_e - sin * sin_e, sin * cos_e + cos * sin_e
 
 
-def _poly(coefficients: tuple[float, ...], v, factor, empty=None):
+def _poly(coefficients: tuple[float, ...], v, factor, empty=None, out=None):
     """factor * sum_j coefficients[j] * v**j by Horner's rule; v is a float or an array.
 
     It is ``empty`` when every coefficient is 0, and zero coefficients above
     the last nonzero one cost nothing.  `fourier` keeps the default None and
-    skips such a term; the oracle passes 0.0.
+    skips such a term; the oracle passes 0.0.  With an array ``out``, the
+    value is built in it, in place: the same operations in the same order,
+    so the same bits, as the float path.
     """
     total = None
     for c in reversed(coefficients):
         if total is not None:
-            total = total * v
+            total *= v
         if c:
-            total = c if total is None else total + c
-    return empty if total is None else total * factor
+            if total is None:
+                total = c
+                if out is not None:
+                    out.fill(c)
+                    total = out
+            else:
+                total += c
+    if total is None:
+        return empty
+    total *= factor
+    return total
 
 
 def _damped_sums(

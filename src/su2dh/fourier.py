@@ -28,6 +28,25 @@ their precision, is among these.
 `fourier_coefficient` runs the same fold in Python floats at the exact
 integer n + 1.
 
+Allocation.  A coefficient build allocates the real parts, which the space
+keeps, and one block of five rows: u = 1/w, v = u^2, the imaginary parts
+and `_fold`'s two scratch rows.  Each component is folded into them in
+place, by the operations of the float fold in the same order, so every
+value has the same bits; only `_phases` allocates per component.
+`reconstruct_density` divides and multiplies in its own sine table and sums
+each damped series through one scratch array, and never writes to a stored
+array.  The reason is glibc's heap: it returns the freed pages at its top
+to the system once they exceed its trim threshold, and the next space faults
+them back in.  With glibc 2.36 on a 2-core x86-64 VM, a build of fresh
+80 KB temporaries (1.0 MB at the peak for three components) cost 120-145
+minor faults per `dual-path` op.  The rows are one block because the block,
+400 KB at the default 10,000 terms, lies above glibc's mmap threshold
+(128 KB by default): its first free raises that threshold to its size, and
+the trim threshold to twice that, past a build's working set, so later
+builds take it from the heap and never trim it.  Five separate rows still
+took about 45 faults per op in a fresh process; the block takes none after
+the first build.
+
 The coefficients do not depend on t.  `reconstruct_density` computes those
 for n < terms once per space object and term count, and stores them on the
 space (see `model`), so the calls of a grid, or of both paths on one space,
@@ -183,63 +202,80 @@ def _phases(x: Fraction, terms: int) -> tuple[np.ndarray, np.ndarray]:
     return table[0].ravel()[:terms], table[1].ravel()[:terms]
 
 
-def _products(*pairs):
-    """The sum of a*b over the pairs (a, b), skipping each a that `_poly` gave as None."""
-    total = 0.0
-    for a, b in pairs:
-        if a is not None:
-            total = total + a * b
-    return total
+def _fold(component: FixedComponent, u, v, cos, sin, real, imag, scratch) -> tuple:
+    """real + Re and imag + Im of the term of one component's full family in <density, chi_n>.
 
+    Here u = 1/w with w = n + 1, v = u^2 and cos + i*sin = e^{pi*i*mu*w}.
+    Split w*I_F(w) = sum_k a_k u^{k-1} = E + O into the even orders,
+    E = u * sum_j a_{2j+2} v^j, and the odd ones, O = v * sum_j a_{2j+3} v^j:
+    real polynomials in v for the real and the imaginary parts.  The Weyl
+    partner adds w*I_F(-w) e^{-pi*i*mu*w}, and w*I_F(-w) = E - O, so a
+    non-central pair gives 2*E*cos + 2i*O*sin, whose parts are twice
+    Re E*cos + (-Im O)*sin and Im E*cos + Re O*sin.  A central component is
+    its own partner, and its sin is 0, so it gives (E + O)*cos.  Each
+    component stores the two rows of (E, O) coefficients that its parts take.
 
-def _fold(component: FixedComponent, u, cos, sin) -> tuple:
-    """Re and Im of the term of one component's full family in <density, chi_n>.
-
-    Here u = 1/w with w = n + 1, and cos + i*sin = e^{pi*i*mu*w}; each is a
-    float or an array.  Split w*I_F(w) = sum_k a_k u^{k-1} = E + O into the
-    even orders, E = u * sum_j a_{2j+2} u^{2j}, and the odd ones,
-    O = u^2 * sum_j a_{2j+3} u^{2j}: real polynomials in u^2 for the real and
-    the imaginary parts, whose coefficients are stored on the component.  The
-    Weyl partner adds w*I_F(-w) e^{-pi*i*mu*w}, and w*I_F(-w) = E - O, so a
-    non-central pair gives 2*E*cos + 2i*O*sin.  A central component is its
-    own partner, and its sin is 0, so it gives (E + O)*cos.
+    u, v, the phases and the totals are floats, with ``scratch`` (None, None),
+    or arrays.  Then ``scratch`` is two rows that hold E and O, and every
+    step, the update of the totals included, is in place: the float steps in
+    the same order, so each element gets the same bits.  An E or O with no
+    nonzero coefficient is skipped.  That changes at most the sign of a zero
+    that the update drops, since a total, starting at 0.0, is never -0.0.
     """
-    polynomials = component._compiled.get("fold")
-    if polynomials is None:
+    rows = component._compiled.get("fold")
+    if rows is None:
         coeffs, top = component.euler_integral, component.max_power
         even = [coeffs.get(k, 0j) for k in range(2, top + 1, 2)]
         odd = [coeffs.get(k, 0j) for k in range(3, top + 1, 2)]
-        polynomials = component._compiled["fold"] = (
-            tuple(a.real for a in even),
-            tuple(a.imag for a in even),
-            tuple(a.real for a in odd),
-            tuple(a.imag for a in odd),
-        )
-    even_re, even_im, odd_re, odd_im = polynomials
-    v = u * u
-    even_re, even_im = _poly(even_re, v, u), _poly(even_im, v, u)
-    odd_re, odd_im = _poly(odd_re, v, v), _poly(odd_im, v, v)
-    if component.central:
-        return _products((even_re, cos), (odd_re, cos)), _products((even_im, cos), (odd_im, cos))
-    # the products are formed before the doubling, which overflows only with their sum
-    return (
-        2.0 * (_products((even_re, cos)) - _products((odd_im, sin))),
-        2.0 * _products((even_im, cos), (odd_re, sin)),
-    )
+        even_re, even_im = tuple(a.real for a in even), tuple(a.imag for a in even)
+        odd_re, odd_im = tuple(a.real for a in odd), tuple(a.imag for a in odd)
+        if component.central:
+            rows = (even_re, odd_re), (even_im, odd_im)
+        else:
+            rows = (even_re, tuple(-a for a in odd_im)), (even_im, odd_re)
+        component._compiled["fold"] = rows
+    odd_phase = cos if component.central else sin
+    totals = []
+    for total, (even, odd) in zip((real, imag), rows):
+        value = _poly(even, v, u, out=scratch[0])
+        if value is not None:
+            value *= cos
+        other = _poly(odd, v, v, out=scratch[1])
+        if other is not None:
+            other *= odd_phase
+            if value is None:
+                value = other
+            else:
+                value += other
+        if value is not None:
+            if not component.central:
+                # the sum is formed before the doubling, which overflows only with it
+                value *= 2.0
+            total += value
+        totals.append(total)
+    return tuple(totals)
 
 
 def _localization_terms(
     components: Sequence[FixedComponent], weights: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Re and Im of <density, chi_n> for n + 1 = weights, the floats 1..len(weights)."""
+    """Re and Im of <density, chi_n> for n + 1 = weights, the floats 1..len(weights).
+
+    The real parts, which the space keeps, are allocated alone.  u, v, the
+    imaginary parts and `_fold`'s two scratch rows are the rows of one block
+    (see the module docstring for why one), and every component is folded
+    into them in place.
+    """
     import numpy as np
 
-    u = 1.0 / weights
-    real, imag = np.zeros(weights.shape), np.zeros(weights.shape)
+    block = np.empty((5, len(weights)))
+    u, v, imag, *scratch = block
+    np.divide(1.0, weights, out=u)
+    np.multiply(u, u, out=v)
+    imag.fill(0.0)
+    real = np.zeros(weights.shape)
     for comp in components:
-        part_re, part_im = _fold(comp, u, *_phases(comp.mu, len(weights)))
-        real += part_re
-        imag += part_im
+        real, imag = _fold(comp, u, v, *_phases(comp.mu, len(weights)), real, imag, scratch)
     return real, imag
 
 
@@ -258,12 +294,16 @@ def _coefficients(space: QHSpace, terms: int) -> tuple[np.ndarray, float]:
             real, imag = _localization_terms(
                 space.components, np.arange(1, terms + 1, dtype=float)
             )
-            # NaN and inf propagate to the largest size
-            size = float(np.max(np.hypot(real, imag)))
+            if imag.any():
+                # NaN and inf propagate to the largest size
+                size, peak = float(np.max(np.hypot(real, imag))), float(np.max(np.abs(imag)))
+            else:
+                # hypot(x, 0) = |x|, and a NaN propagates to both max and min
+                size, peak = max(float(real.max()), -float(real.min())), 0.0
         if not math.isfinite(size):
             residual = math.inf
         else:
-            residual = float(np.max(np.abs(imag))) / size if size else 0.0
+            residual = peak / size if size else 0.0
         real.flags.writeable = False
         entry = space._compiled[("fourier", terms)] = real, residual
     return entry
@@ -310,13 +350,13 @@ def fourier_coefficient(space: QHSpace, n: int) -> complex:
     if not isinstance(n, int) or isinstance(n, bool) or n < 0:
         raise ValueError("n must be an integer >= 0")
     w = n + 1
+    u = 1 / w
     real = imag = 0.0
     for comp in space.components:
         (quadrant,), (turn,), scale = _quarter_turns(comp.mu, w, 1, 1)
         c, s = math.cos(turn * scale), math.sin(turn * scale)
-        part_re, part_im = _fold(comp, 1 / w, *((c, s), (-s, c), (-c, -s), (s, -c))[quadrant])
-        real += part_re
-        imag += part_im
+        phase = ((c, s), (-s, c), (-c, -s), (s, -c))[quadrant]
+        real, imag = _fold(comp, u, u * u, *phase, real, imag, (None, None))
     return complex(real, imag)
 
 
@@ -359,21 +399,23 @@ def reconstruct_density(
     if (math.pi * t * method.terms) ** 2 < 2.0**-53:
         # chi_n(t) = (n+1) * (1 - O((pi*(n+1)*t)^2)) rounds to n + 1.  This also keeps a
         # subnormal t exact, whose sines below would be rounded one by one.
-        characters = weights
+        base_terms = coefficients * weights
     else:
-        # chi_n(t) = sin(pi*(n+1)*t) / sin(pi*t), and sin(pi*t) is the first sine
-        _, sines = _phases(Fraction(t), method.terms)
-        characters = sines / sines[0]
-    base_terms = coefficients * characters
+        # chi_n(t) = sin(pi*(n+1)*t) / sin(pi*t), and sin(pi*t) is the first sine; the
+        # table is this call's own, so the terms are built in it
+        _, base_terms = _phases(Fraction(t), method.terms)
+        base_terms /= base_terms[0]
+        base_terms *= coefficients
+    scratch = np.empty_like(base_terms)
     # Each damping is 1 - O(n) near n = 0, so the undamped sum is split off: the large
     # early terms enter it alone, not every node's sum, whose rounding Richardson's
     # weights amplify.  The Neville step maps the constant undamped part to itself.
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow is judged below
         undamped = _RECONSTRUCTION_FACTOR * float(np.sum(base_terms))
-        samples = [
-            (h, _RECONSTRUCTION_FACTOR * float(np.sum(base_terms * excess)))
-            for h, excess in ladder
-        ]
+        samples = []
+        for h, excess in ladder:
+            np.multiply(base_terms, excess, out=scratch)
+            samples.append((h, _RECONSTRUCTION_FACTOR * float(np.sum(scratch))))
     change, last_change = extrapolate_to_zero(samples)
     value = undamped + change.real
     if not math.isfinite(value):

@@ -28,11 +28,13 @@ function at u = 2*pi*i*z (DLMF 24.2.3), so with n = k - 2 - 2j >= 0
     R = -+half * 2^n B_n(w/2) (-1)^j / (n! (2j+1)!),
 
 with the minus sign below the wall and half = 1/2 for central components.
-Each R is an exact rational (`expsum.bernoulli_values`) rounded once, and
-each component object keeps its two polynomials from its first use.  A
-wall's one-sided limit is then the choice of branch, and the central values
-at +e and -e, the t -> 0+ and t -> 1- limits of the two branches, are the
-linear coefficients of P_below and P_above divided by pi.
+Each R is an exact rational (`expsum.bernoulli_values`), rounded once: one
+division of its integer numerator by its integer denominator, which Python
+rounds correctly, as float(Fraction) does.  Each component object keeps its
+two polynomials from its first use.  A wall's one-sided limit is then the
+choice of branch, and the central values at +e and -e, the t -> 0+ and
+t -> 1- limits of the two branches, are the linear coefficients of P_below
+and P_above divided by pi.
 Central values are meaningful only at a regular value of the moment map,
 which the caller must assert: a component at mu = 0 (at +e) or mu = 1 (at
 -e) refutes it, and no fixed-point data confirm it.  The above branch stays
@@ -160,24 +162,31 @@ def _branch(
 
     [x^(2j+1)] P = sqrt(2) * sum_k (c_k pi^k) i^n R with n = k - 2 - 2j and
     the exact rational R = sign * 2^n B_n(weight/2) (-1)^j / (n! (2j+1)!),
-    rounded once.  The residual is max_j |Im| / max_j |.| (0 if all vanish);
-    a coefficient that is not finite or overflows gives no coefficients and
-    the residual inf.
+    rounded once, as one int/int division.  The residual is max_j |Im| /
+    max_j |.| (0 if all vanish); a coefficient that is not finite or
+    overflows gives no coefficients and the residual inf.
     """
     max_power = max(k for k, _ in coefficients)
     try:
         # first, so that pi**k, which overflows for k >= 621, fails before the Bernoulli values
         scaled = [(k, c * math.pi**k) for k, c in coefficients]
-        bernoulli = bernoulli_values(weight / 2, max_power - 2)
-        coeffs = []
+        # 2^n B_n(weight/2) / n! as an integer numerator and denominator
+        ratios, factorial = [], 1
+        for n, b in enumerate(bernoulli_values(weight / 2, max_power - 2)):
+            factorial *= n or 1
+            ratios.append((b.numerator << n, b.denominator * factorial))
+        coeffs, odd_factorial = [], 1
         for j in range(max_power // 2):
+            odd_factorial *= 2 * j * (2 * j + 1) or 1
+            sign_j = -sign.numerator if j % 2 else sign.numerator
+            scale_j = sign.denominator * odd_factorial
             acc = 0j
             for k, c in scaled:
                 n = k - 2 - 2 * j
                 if n >= 0:
-                    exact = sign * 2**n * bernoulli[n] * (-1) ** j
-                    exact /= math.factorial(n) * math.factorial(2 * j + 1)
-                    acc += c * 1j ** (n % 4) * float(exact)
+                    numerator, denominator = ratios[n]
+                    # one int/int division, correctly rounded, as float(Fraction) is
+                    acc += c * 1j ** (n % 4) * (sign_j * numerator / (denominator * scale_j))
             coeffs.append(VOL_T * acc)
         size = max(map(abs, coeffs))  # overflows for a finite coefficient beyond the range
     except OverflowError:

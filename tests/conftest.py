@@ -1,13 +1,22 @@
+import inspect
 import math
+import os
+import platform
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import mpmath
 import pytest
 from hypothesis import strategies as st
 
+import su2dh
 from su2dh.model import VOL_T, FixedComponent, QHSpace, require_interior_alcove
 from su2dh.series import bose_kernel, exp_linear, mul, sin_linear
+
+PACKAGE = Path(su2dh.__file__).resolve().parent
 
 
 def make_random_component(rng: random.Random, label: str) -> FixedComponent:
@@ -77,6 +86,45 @@ def odd_real_components(draw) -> FixedComponent:
     if even is not None:
         coeffs[even] = complex(scale * draw(st.floats(-1.0, 1.0)), 0.0)
     return FixedComponent("c", mu, coeffs)
+
+
+def run_child(script: str, *args: str) -> str:
+    """Standard output of a fresh interpreter that runs the script on the arguments."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (str(PACKAGE.parent), os.environ.get("PYTHONPATH")) if p
+    ))
+    proc = subprocess.run(
+        [sys.executable, "-c", script, *args],
+        capture_output=True, text=True, env=env, timeout=60.0,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+_COUNT_FAULTS = """
+import ast, resource, sys
+work = {name}(*ast.literal_eval(sys.argv[1]))
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+work()
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+def minor_faults(fn, *args) -> int:
+    """Minor page faults of a fresh interpreter while it runs the work ``fn(*args)`` returns.
+
+    ``fn`` is a module-level function that imports what it uses, and the
+    arguments are literals.  The child runs its source, calls ``fn(*args)``
+    for set-up and warm-up, and counts ``ru_minflt`` around one call of the
+    function it returns.  The child imports neither pytest nor the test
+    modules, because their start-up raises glibc's trim threshold, which
+    would hide a heap that is trimmed and faulted back in.  Skips the calling
+    test unless the platform is Linux with glibc.
+    """
+    if sys.platform != "linux" or platform.libc_ver()[0] != "glibc":
+        pytest.skip("minor faults are counted here only on Linux with glibc")
+    script = inspect.getsource(fn) + _COUNT_FAULTS.format(name=fn.__name__)
+    return int(run_child(script, repr(args)))
 
 
 @pytest.fixture

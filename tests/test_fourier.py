@@ -1,11 +1,13 @@
 """Fourier-localization oracle: coefficients, reconstruction, quadrature."""
 
 import gc
+import hashlib
 import math
 import random
 import weakref
 
 import mpmath
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -21,7 +23,7 @@ from su2dh.fourier import (
 from su2dh.model import AlcoveRangeError, FixedComponent, QHSpace, load_space, save_space
 from su2dh.residue import DensityOverflowError, EvalOptions, NonRealDensityError, density
 from su2dh.spaces import make_product_space, make_s4
-from conftest import interior_t_avoiding_walls, make_random_space
+from conftest import interior_t_avoiding_walls, make_random_space, minor_faults
 from fractions import Fraction
 
 SQRT2 = math.sqrt(2.0)
@@ -320,6 +322,148 @@ class TestCoefficientCache:
             fresh = QHSpace(space.name, space.components, space.stabilizer_order)
             cold = reconstruct_density(fresh, 0.58, method)
             assert warm.hex() == cold.hex()
+
+
+def fresh_spaces(items):
+    """Builds and sums on fresh spaces: warms up on five, returns the rest's work.
+
+    Each item is a saved space and its points.  `minor_faults` runs this in a
+    fresh interpreter, so it imports what it uses.
+    """
+    from su2dh import fourier
+    from su2dh.fourier import SummationMethod, reconstruct_density
+    from su2dh.model import load_space
+
+    def run(chunk):
+        for text, points in chunk:
+            space = load_space(text)
+            fourier._coefficients(space, SummationMethod().terms)
+            for t in points:
+                reconstruct_density(space, t)
+
+    run(items[:5])
+    return lambda: run(items[5:])
+
+
+class TestAllocation:
+    """The coefficient build and the per-point sums work in arrays they allocate once."""
+
+    def test_fresh_spaces_do_not_refault_the_heap(self):
+        # Freed temporaries at the top of the heap were trimmed and faulted back
+        # in by the next space: about 100 minor faults per space.
+        rand = random.Random(2029)
+        items = []
+        for _ in range(25):
+            space = make_random_space(rand)
+            points = [interior_t_avoiding_walls(rand, space) for _ in range(4)]
+            items.append((save_space(space), points))
+        assert minor_faults(fresh_spaces, items) <= 8 * 20
+
+
+class TestOneFold:
+    """`_fold` runs the same steps on floats and, in place, on arrays."""
+
+    @pytest.mark.parametrize("central", [False, True])
+    @pytest.mark.parametrize("mask", range(16))
+    def test_arrays_fold_as_their_elements(self, central, mask):
+        # bits 0-3 of the mask make Re E, Im E, Re O and Im O nonzero
+        rand = random.Random(16 * central + mask)
+        coeffs = {}
+        for k in range(2, 10):
+            odd = k % 2
+            re = rand.uniform(-1.0, 1.0) if mask >> (2 * odd) & 1 else 0.0
+            im = rand.uniform(-1.0, 1.0) if mask >> (2 * odd + 1) & 1 else 0.0
+            if re or im or k == 2:
+                coeffs[k] = complex(re, im)
+        mu = Fraction(rand.choice([0, 1])) if central else Fraction(rand.randint(1, 39), 40)
+        comp = FixedComponent("c", mu, coeffs)
+        terms = 64
+        u = 1.0 / np.arange(1, terms + 1, dtype=float)
+        v = u * u
+        cos, sin = (np.array([rand.uniform(-1.0, 1.0) for _ in range(terms)]) for _ in "cs")
+        start = [np.array([rand.choice([0.0, rand.uniform(-9.0, 9.0)]) for _ in range(terms)])
+                 for _ in "ri"]
+        real, imag = (total.copy() for total in start)
+        folded = fourier._fold(comp, u, v, cos, sin, real, imag, np.empty((2, terms)))
+        assert folded[0] is real and folded[1] is imag
+        for i in range(terms):
+            expected = fourier._fold(
+                comp, float(u[i]), float(v[i]), float(cos[i]), float(sin[i]),
+                float(start[0][i]), float(start[1][i]), (None, None),
+            )
+            assert [x.hex() for x in expected] == [float(real[i]).hex(), float(imag[i]).hex()]
+
+    def test_sums_leave_the_stored_arrays_alone(self, rng):
+        space = make_random_space(rng)
+        methods = [
+            SummationMethod(kind="partial", terms=3000),
+            SummationMethod(),
+            SummationMethod(kind="cesaro", terms=3000),
+        ]
+
+        def digests() -> list[str]:
+            arrays = [fourier._coefficients(space, method.terms)[0] for method in methods]
+            for method in methods:
+                weights, ladder = fourier._ladder(method)
+                arrays += [weights, *(e for _, e in ladder if isinstance(e, np.ndarray))]
+            return [hashlib.sha1(array.tobytes()).hexdigest() for array in arrays]
+
+        before = digests()
+        # 1e-20 is a tiny t, whose characters are the stored weights
+        points = [1e-20] + [interior_t_avoiding_walls(rng, space) for _ in range(4)]
+        for i in range(50):
+            reconstruct_density(space, points[i % 5], methods[i % 3])
+        assert digests() == before
+
+
+class TestJudge:
+    """The realness residual of the coefficients, with and without imaginary parts."""
+
+    TERMS = 2000
+
+    def parts(self, space: QHSpace) -> tuple:
+        return fourier._localization_terms(
+            space.components, np.arange(1, self.TERMS + 1, dtype=float)
+        )
+
+    def test_overflow_with_zero_imaginary_parts_is_refused(self):
+        space = QHSpace("big", tuple(
+            FixedComponent(label, Fraction(1, 4), {2: 1e308}) for label in "ab"
+        ), 1)
+        with np.errstate(over="ignore"):
+            real, imag = self.parts(space)
+        assert not imag.any() and not np.isfinite(real).all()
+        assert fourier._coefficients(space, self.TERMS)[1] == math.inf
+        with pytest.raises(DensityOverflowError, match="non-finite Fourier coefficients"):
+            reconstruct_density(space, 0.5, SummationMethod(terms=self.TERMS))
+
+    @pytest.mark.parametrize("power", [2, 3])
+    def test_nan_coefficients_are_refused(self, power):
+        # inf - inf: in the real parts at power 2, in the imaginary ones at power 3
+        space = QHSpace("nan", (
+            FixedComponent("a", Fraction(1, 4), {power: 1.7e308}),
+            FixedComponent("b", Fraction(1, 4), {power: -1.7e308}),
+        ), 1)
+        with np.errstate(over="ignore", invalid="ignore"):
+            real, imag = self.parts(space)
+        assert np.isnan(real if power == 2 else imag).any()
+        assert fourier._coefficients(space, self.TERMS)[1] == math.inf
+        with pytest.raises(DensityOverflowError, match="non-finite Fourier coefficients"):
+            reconstruct_density(space, 0.5, SummationMethod(terms=self.TERMS))
+
+    def test_non_real_residual_is_max_imag_over_max_modulus(self, rng):
+        for _ in range(5):
+            space = make_random_space(rng)
+            odd = FixedComponent("odd", Fraction(rng.randint(1, 19), 20), {2: 1.0, 3: 0.3})
+            space = QHSpace("odd", (*space.components, odd), 1)
+            real, imag = self.parts(space)
+            expected = float(np.max(np.abs(imag))) / float(np.max(np.hypot(real, imag)))
+            assert fourier._coefficients(space, self.TERMS)[1].hex() == expected.hex()
+
+    def test_reflection_symmetric_data_are_exactly_real(self, rng):
+        spaces = [make_s4(), make_product_space(5), *(make_random_space(rng) for _ in range(20))]
+        for space in spaces:
+            assert fourier._coefficients(space, self.TERMS)[1] == 0.0
 
 
 def mp_localization(space: QHSpace, w: int) -> tuple[complex, float]:

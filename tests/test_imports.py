@@ -5,17 +5,13 @@ configurations key a functools cache, and the test extras cover what the
 tests import."""
 
 import ast
-import os
 import re
-import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-import su2dh
-
-PACKAGE = Path(su2dh.__file__).resolve().parent
+from conftest import PACKAGE, run_child
 
 
 def imports_series(path: Path) -> bool:
@@ -176,19 +172,6 @@ print(code, "numpy" in sys.modules, "su2dh.series" in sys.modules)
 """
 
 _WALLED = str(Path(__file__).parent / "golden" / "walled.json")
-
-
-def run_child(script: str, *args: str) -> str:
-    """Standard output of a fresh interpreter that runs the script on the arguments."""
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (str(PACKAGE.parent), os.environ.get("PYTHONPATH")) if p
-    ))
-    proc = subprocess.run(
-        [sys.executable, "-c", script, *args],
-        capture_output=True, text=True, env=env, timeout=60.0,
-    )
-    assert proc.returncode == 0, proc.stderr
-    return proc.stdout
 
 
 def modules_loaded_by(*args: str) -> tuple[str, bool, bool]:

@@ -14,8 +14,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import su2dh.residue as residue_module
+from su2dh.expsum import bernoulli_values
 from su2dh.extrapolation import extrapolate_to_zero
 from su2dh.model import (
+    VOL_T,
     AlcoveRangeError,
     DensityResult,
     FixedComponent,
@@ -337,6 +339,59 @@ class TestChamberPolynomials:
                 central_density(space, which)
                 reduced_volume(space, which)
         assert len(branches) == 2 * len(space.components)
+
+
+def fraction_branch(coefficients, weight: Fraction, sign: Fraction) -> tuple:
+    """`_branch` with each R = sign 2^n B_n(weight/2) (-1)^j / (n! (2j+1)!) built
+    from Fraction operations and rounded by float(Fraction)."""
+    max_power = max(k for k, _ in coefficients)
+    scaled = [(k, c * math.pi**k) for k, c in coefficients]
+    bernoulli = bernoulli_values(weight / 2, max_power - 2)
+    coeffs = []
+    for j in range(max_power // 2):
+        acc = 0j
+        for k, c in scaled:
+            n = k - 2 - 2 * j
+            if n >= 0:
+                exact = sign * 2**n * bernoulli[n] * (-1) ** j
+                exact /= math.factorial(n) * math.factorial(2 * j + 1)
+                acc += c * 1j ** (n % 4) * float(exact)
+        coeffs.append(VOL_T * acc)
+    size = max(map(abs, coeffs))
+    return tuple(c.real for c in coeffs), max(abs(c.imag) for c in coeffs) / size if size else 0.0
+
+
+class TestBranchRounding:
+    """Each exact R is rounded once, as one integer division: the bits of float(Fraction)."""
+
+    @pytest.mark.parametrize(
+        "comp",
+        [
+            *(make_product_space(n).components[0] for n in range(1, 41)),
+            FixedComponent("deep", Fraction(2, 7), {2: 1.0, 151: 0.5j, 300: 1e-120}),
+            FixedComponent("e", Fraction(0), {2: 0.3, 4: -0.5, 6: 0.25}),
+            FixedComponent("-e", Fraction(1), {2: -0.3, 4: 0.5, 8: 1.5}),
+            FixedComponent("wall", Fraction(3, 10), {2: 1.0, 3: 0.5j, 5: -0.25j, 6: 2.0}),
+        ],
+        ids=lambda comp: f"{comp.label}-{comp.max_power}",
+    )
+    def test_coefficients_round_as_fractions(self, comp):
+        coefficients = tuple(comp.euler_integral.items())
+        half = Fraction(1, 2) if comp.central else Fraction(1)
+        for weight, sign in ((comp.mu, -half), (comp.mu + 1, half)):
+            real, residual = residue_module._branch(coefficients, weight, sign)
+            expected, expected_residual = fraction_branch(coefficients, weight, sign)
+            assert [c.hex() for c in real] == [c.hex() for c in expected]
+            assert residual.hex() == expected_residual.hex()
+
+    def test_pole_order_beyond_pi_power_range_keeps_its_message(self):
+        space = QHSpace("deep", (FixedComponent("a", Fraction(1, 4), {640: 1e-300}),), 1)
+        with pytest.raises(DensityOverflowError) as refused:
+            density(space, 0.3)
+        assert str(refused.value) == (
+            "numeric overflow: component 'a' has coefficients beyond the float range "
+            "on its below branch"
+        )
 
 
 class TestReducedVolume:
