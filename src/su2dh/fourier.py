@@ -28,6 +28,22 @@ their precision, is among these.
 `fourier_coefficient` runs the same fold in Python floats at the exact
 integer n + 1.
 
+Phases.  For x = p/q, w = n + 1 is split as 1 + j + block*m with
+block = ceil(sqrt(terms)), and the phases of the about 2*sqrt(terms) values
+k = 1..block and k = block*m are reduced exactly: with M = 8q, the integer
+4*p*k + q mod M gives the quadrant of x*k, as its quotient by 2q, and the
+angle left, as its remainder less q.  `_turns` reduces each table's start
+and stride mod M once, in Python ints, and forms the table's values in one
+numpy pass.  They are exact in int64 while M*block < 2^63, which every mu
+of small denominator meets.  When M is a power of two up to 2^64, as it is
+for Fraction(t) of every float t >= 2^-9, they are formed in uint64, whose
+wrap-around mod 2^64 keeps them mod M, and read as int64, which changes
+them by a multiple of 2^64.  Any other x takes the exact loop of
+`_quarter_turns`, one addition per k.  One complex exp gives both tables'
+phases, and one matrix product per table of cos or sin combines them by
+angle addition.  `reconstruct_density` asks for the sines alone, which are
+the same product as the sine rows of the full table, so the same bits.
+
 Allocation.  A coefficient build allocates the real parts, which the space
 keeps, and one block of five rows: u = 1/w, v = u^2, the imaginary parts
 and `_fold`'s two scratch rows.  Each component is folded into them in
@@ -179,27 +195,60 @@ def _quarter_turns(
     return quadrants, turns, math.pi / (4 * q)
 
 
-def _phases(x: Fraction, terms: int) -> tuple[np.ndarray, np.ndarray]:
-    """cos(pi*x*w) and sin(pi*x*w) for w = 1..terms, for an exact rational x.
+# i^n for the quadrant n mod 4, which `_turns` leaves as an index into it
+_UNITS = (1, 1j, -1, -1j)
+
+
+def _turns(x: Fraction, block: int) -> tuple[np.ndarray, np.ndarray, float]:
+    """`_quarter_turns` for k = 1..block and for k = 0, block, ..., as two rows of block.
+
+    With M = 8q each row's start 4*p*first + q and stride 4*p*step are
+    reduced mod M in Python ints, and the row start + i*stride, i < block,
+    is formed in int64 or uint64 (see the module docstring for when each is
+    exact), or else by the loop.  Only its value mod M matters: the quadrant
+    is its quotient by 2q mod 4, and the angle numerator its remainder less
+    q.  The quadrants are left unreduced, for ``take`` with mode "wrap".
+    """
+    import numpy as np
+
+    p, q = x.numerator, x.denominator
+    modulus = 8 * q
+    if modulus * block < 2**63:
+        dtype = np.int64
+    elif modulus <= 2**64 and not modulus & (modulus - 1):
+        dtype = np.uint64
+    else:
+        low, high = (_quarter_turns(x, first, step, block) for first, step in ((1, 1), (0, block)))
+        return np.array([low[0], high[0]]), np.array([low[1], high[1]], dtype=float), low[2]
+    starts = np.array([[(4 * p + q) % modulus], [q]], dtype=dtype)
+    strides = np.array([[4 * p % modulus], [4 * p * block % modulus]], dtype=dtype)
+    # a wrapped value v reads as v - 2^64 in int64, the same mod 8q, as 8q divides 2^64
+    values = (np.arange(block, dtype=dtype) * strides + starts).view(np.int64)
+    quadrants, turns = np.divmod(values, 2 * q)
+    turns -= q
+    return quadrants, turns.astype(float), math.pi / (4 * q)
+
+
+def _phases(x: Fraction, terms: int, sine_only: bool = False) -> tuple[np.ndarray, ...]:
+    """cos(pi*x*w) and sin(pi*x*w), or only the sines, for w = 1..terms, for an exact rational x.
 
     With block = ceil(sqrt(terms)), w = 1 + j + block*m with j < block, so
     each angle is the sum of a low one, for k = 1..block, and a high one, for
-    k = block*m.  The two tables, about 2*sqrt(terms) values reduced by
-    `_quarter_turns`, are combined by angle addition: cos and sin are each
-    the sum of two outer products, computed as one matrix product.
+    k = block*m.  `_turns` reduces both, and one complex exp gives their
+    phases.  Angle addition combines them: each of cos and sin is the sum of
+    two outer products, one matrix product of (count, 2) high rows by the
+    (2, block) low ones.
     """
     import numpy as np
 
     block = math.isqrt(terms - 1) + 1
-    phases = []
-    for first, step, count in ((1, 1, block), (0, block, -(-terms // block))):
-        quadrants, turns, scale = _quarter_turns(x, first, step, count)
-        units = np.array([1, 1j, -1, -1j])[quadrants]
-        phases.append(np.exp(1j * scale * np.array(turns, dtype=float)) * units)
-    low, high = phases
-    rotations = np.array([[high.real, -high.imag], [high.imag, high.real]]).transpose(0, 2, 1)
-    table = rotations @ np.array([low.real, low.imag])
-    return table[0].ravel()[:terms], table[1].ravel()[:terms]
+    quadrants, turns, scale = _turns(x, block)
+    phases = np.exp(1j * scale * turns) * np.array(_UNITS).take(quadrants, mode="wrap")
+    low, high = phases[0], phases[1, : -(-terms // block)]
+    sines = [high.imag, high.real]
+    rows = [sines] if sine_only else [[high.real, -high.imag], sines]
+    table = np.array(rows).transpose(0, 2, 1) @ np.array([low.real, low.imag])
+    return tuple(row.ravel()[:terms] for row in table)
 
 
 def _fold(component: FixedComponent, u, v, cos, sin, real, imag, scratch) -> tuple:
@@ -403,7 +452,7 @@ def reconstruct_density(
     else:
         # chi_n(t) = sin(pi*(n+1)*t) / sin(pi*t), and sin(pi*t) is the first sine; the
         # table is this call's own, so the terms are built in it
-        _, base_terms = _phases(Fraction(t), method.terms)
+        (base_terms,) = _phases(Fraction(t), method.terms, sine_only=True)
         base_terms /= base_terms[0]
         base_terms *= coefficients
     scratch = np.empty_like(base_terms)
@@ -411,11 +460,11 @@ def reconstruct_density(
     # early terms enter it alone, not every node's sum, whose rounding Richardson's
     # weights amplify.  The Neville step maps the constant undamped part to itself.
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow is judged below
-        undamped = _RECONSTRUCTION_FACTOR * float(np.sum(base_terms))
+        undamped = _RECONSTRUCTION_FACTOR * float(np.add.reduce(base_terms))
         samples = []
         for h, excess in ladder:
             np.multiply(base_terms, excess, out=scratch)
-            samples.append((h, _RECONSTRUCTION_FACTOR * float(np.sum(scratch))))
+            samples.append((h, _RECONSTRUCTION_FACTOR * float(np.add.reduce(scratch))))
     change, last_change = extrapolate_to_zero(samples)
     value = undamped + change.real
     if not math.isfinite(value):

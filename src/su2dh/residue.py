@@ -28,9 +28,10 @@ function at u = 2*pi*i*z (DLMF 24.2.3), so with n = k - 2 - 2j >= 0
     R = -+half * 2^n B_n(w/2) (-1)^j / (n! (2j+1)!),
 
 with the minus sign below the wall and half = 1/2 for central components.
-Each R is an exact rational (`expsum.bernoulli_values`), rounded once: one
-division of its integer numerator by its integer denominator, which Python
-rounds correctly, as float(Fraction) does.  Each component object keeps its
+Each R is an exact rational, from the integers of
+`expsum.bernoulli_numerators`, rounded once: one division of its integer
+numerator by its integer denominator, which Python rounds correctly, as
+float(Fraction) does, reduced or not.  Each component object keeps its
 two polynomials from its first use.  A wall's one-sided limit is then the
 choice of branch, and the central values at +e and -e, the t -> 0+ and
 t -> 1- limits of the two branches, are the linear coefficients of P_below
@@ -87,7 +88,7 @@ from .model import (
     QHSpace,
     require_interior_alcove,
 )
-from .expsum import bernoulli_values
+from .expsum import bernoulli_numerators
 
 
 class WallError(ArithmeticError):
@@ -170,11 +171,14 @@ def _branch(
     try:
         # first, so that pi**k, which overflows for k >= 621, fails before the Bernoulli values
         scaled = [(k, c * math.pi**k) for k, c in coefficients]
-        # 2^n B_n(weight/2) / n! as an integer numerator and denominator
-        ratios, factorial = [], 1
-        for n, b in enumerate(bernoulli_values(weight / 2, max_power - 2)):
-            factorial *= n or 1
-            ratios.append((b.numerator << n, b.denominator * factorial))
+        # 2^n B_n(weight/2) / n! as an integer numerator and denominator, D q^n n!
+        half_weight = weight / 2
+        numerators, denominator = bernoulli_numerators(half_weight, max_power - 2)
+        ratios = []
+        for n, e in enumerate(numerators):
+            if n:
+                denominator *= n * half_weight.denominator
+            ratios.append((e << n, denominator))
         coeffs, odd_factorial = [], 1
         for j in range(max_power // 2):
             odd_factorial *= 2 * j * (2 * j + 1) or 1

@@ -1,6 +1,7 @@
 """Exponential-sum/residue identity: classics, oracle agreement, branches."""
 
 import math
+import random
 from fractions import Fraction
 
 import mpmath
@@ -19,7 +20,7 @@ from su2dh.expsum import (
 )
 from su2dh.extrapolation import abel_ladder, extrapolate_to_zero
 from su2dh.series import add, bose_kernel, exp_linear, monomial, mul, reciprocal, scale
-from conftest import exp_sum_reference
+from conftest import exp_sum_reference, minor_faults
 
 TWO_PI = 2.0 * math.pi
 BLOCK = expsum._BLOCK
@@ -147,8 +148,12 @@ class TestBernoulliValues:
         numbers[1] = Fraction(-1, 2)
         values = bernoulli_values(x, 60)
         assert len(values) == 61 and all(isinstance(v, Fraction) for v in values)
-        for n, value in enumerate(values):
+        # the integers that the residue compiler divides: B_n(x) = e_n / (D q^n)
+        numerators, scale = expsum.bernoulli_numerators(x, 60)
+        assert scale == math.lcm(*range(1, 62)) and all(isinstance(e, int) for e in numerators)
+        for n, (value, e) in enumerate(zip(values, numerators, strict=True)):
             assert value == sum(math.comb(n, j) * numbers[j] * x ** (n - j) for j in range(n + 1))
+            assert Fraction(e, scale * x.denominator**n) == value
 
     def test_reflection_and_difference_identities(self):
         # B_n(1 - x) = (-1)^n B_n(x) and B_n(x + 1) - B_n(x) = n x^(n-1)
@@ -321,6 +326,41 @@ class TestPartialSums:
             exp_sum_partial(f, gamma, M)
         with pytest.raises(ExpSumOverflowError, match="numeric overflow: the damped sum"):
             exp_sum_extrapolated(f, gamma, M)
+
+
+def oracle_calls(instances):
+    """Work for `minor_faults`: `exp_sum_extrapolated` at M = 10^5 on each instance.
+
+    Each instance is pole coefficients as (order, value) pairs and a gamma.
+    The first two calls are the warm-up.  `minor_faults` runs this in a fresh
+    interpreter, so it imports what it uses.
+    """
+    from su2dh.expsum import RationalPoleFunction, exp_sum_extrapolated
+
+    calls = [(RationalPoleFunction(dict(coeffs)), gamma) for coeffs, gamma in instances]
+
+    def run(chunk):
+        for f, gamma in chunk:
+            exp_sum_extrapolated(f, gamma)
+
+    run(calls[:2])
+    return lambda: run(calls[2:])
+
+
+class TestOracleAllocation:
+    """The oracle's rows of block length share one block, allocated once per call."""
+
+    def test_oracle_calls_do_not_refault_the_heap(self):
+        # With fresh arrays per block, glibc trimmed the freed top of its heap
+        # and the next call faulted it back in: about 170 minor faults per call.
+        rand = random.Random(1_702_017)
+        instances = []
+        for _ in range(22):
+            orders = rand.sample([1, 2, 3, 4, 5], k=rand.randint(1, 3))
+            coeffs = [(k, complex(rand.uniform(-1, 1), rand.uniform(-1, 1))) for k in orders]
+            gamma = rand.choice([1.0, -1.0]) * rand.uniform(0.1, TWO_PI - 0.1)
+            instances.append((coeffs, gamma))
+        assert minor_faults(oracle_calls, instances) <= 8 * 20
 
 
 class TestOracleSameSums:

@@ -527,14 +527,16 @@ class TestExactPhases:
     )
     def test_phase_tables_match_mpmath(self, x, terms):
         # a mu with a large denominator, and Fraction(t) of a small float t, at
-        # term counts around the table boundaries
+        # term counts around the table boundaries, in both modes
         cos, sin = fourier._phases(x, terms)
-        assert len(cos) == len(sin) == terms
+        (sines,) = fourier._phases(x, terms, sine_only=True)
+        assert len(cos) == len(sin) == len(sines) == terms
         with mpmath.workdps(40):
             for w in range(1, terms + 1):
                 exact = mpmath.expjpi(mpmath.mpf(x.numerator) / x.denominator * w)
                 assert abs(cos[w - 1] - exact.real) <= 1e-15
                 assert abs(sin[w - 1] - exact.imag) <= 1e-15
+                assert abs(sines[w - 1] - exact.imag) <= 1e-15
 
     @pytest.mark.parametrize("n", [999, 9_999, 999_999, 2**40, 2**60])
     def test_large_n_coefficients(self, n):
@@ -567,6 +569,79 @@ class TestExactPhases:
             for method, expected in zip(methods, mp_same_sums(space, t, methods)):
                 value = reconstruct_density(space, t, method)
                 assert abs(value - expected) <= 1e-14 * abs(expected), (space.name, method.kind)
+
+
+def loop_quarter_turns(x: Fraction, first: int, step: int, count: int) -> tuple[list, list, float]:
+    """`fourier._quarter_turns` by its definition, one divmod per k: the tests' reference."""
+    p, q = x.numerator, x.denominator
+    quadrants, turns = [], []
+    for i in range(count):
+        quadrant, r = divmod(4 * p * (first + i * step) + q, 2 * q)
+        quadrants.append(quadrant & 3)
+        turns.append(r - q)
+    if q.bit_length() > 1000:
+        return quadrants, [turn / (4 * q) for turn in turns], math.pi
+    return quadrants, [float(turn) for turn in turns], math.pi / (4 * q)
+
+
+def odd_numerator(q: int) -> Fraction:
+    """A Fraction with denominator q and a numerator of about q's size."""
+    p = q * 5 // 7 | 1
+    while math.gcd(p, q) != 1:
+        p += 2
+    return Fraction(p, q)
+
+
+# block = ceil(sqrt(terms)) for the term counts around the table boundaries
+BLOCKS = sorted({math.isqrt(terms - 1) + 1 for terms in (1, 2, 3, 99, 100, 101)})
+
+
+def boundary_fractions(block: int) -> list[Fraction]:
+    """x at each boundary of `fourier._turns`' integer types, for rows of this block."""
+    largest_int64 = (2**63 - 1) // (8 * block)  # the largest q with 8q*block < 2^63
+    power = 2 ** (largest_int64.bit_length() - 1)
+    return [
+        odd_numerator(largest_int64),  # int64, 8q*block = 2^63 - 1 less at most 8*block
+        odd_numerator(largest_int64 + 1),  # uint64 if q is a power of two, else the loop
+        Fraction(3, power),  # int64, the largest power of two
+        Fraction(3, 2 * power),  # uint64, 8q*block >= 2^63
+        Fraction(3, 2**61),  # 8q = 2^64: the largest uint64 modulus
+        Fraction(2**62 - 1, 2**61),  # x > 1
+        Fraction(5, 2**62),  # 8q = 2^65: the loop
+        odd_numerator(2**1000 + 7),  # 1001 bits: the turns as quotients
+        odd_numerator(2**999 + 5),  # 1000 bits: the turns as integers
+        Fraction(5e-324),
+        Fraction(1e-310),
+        Fraction(2.0**-9),
+        Fraction(math.nextafter(2.0**-9, 0.0)),
+        Fraction(0.3137),
+        Fraction(7, 20),
+        Fraction(0),
+        Fraction(1),
+    ]
+
+
+class TestTurns:
+    """`_turns` reduces exactly as the per-k loop does, on each side of its integer types."""
+
+    @pytest.mark.parametrize("block", BLOCKS)
+    def test_rows_match_the_loop(self, block):
+        for x in boundary_fractions(block):
+            quadrants, turns, scale = fourier._turns(x, block)
+            assert quadrants.shape == turns.shape == (2, block)
+            for row, (first, step) in enumerate(((1, 1), (0, block))):
+                expected = loop_quarter_turns(x, first, step, block)
+                assert [int(n) % 4 for n in quadrants[row]] == expected[0], (x, row)
+                assert [float(y).hex() for y in turns[row]] == [y.hex() for y in expected[1]]
+                assert scale.hex() == expected[2].hex()
+
+    @pytest.mark.parametrize("terms", [1, 2, 3, 99, 100, 101, 10_000])
+    def test_sine_only_table_is_the_sine_row(self, terms):
+        block = math.isqrt(terms - 1) + 1
+        for x in boundary_fractions(block):
+            (sines,) = fourier._phases(x, terms, sine_only=True)
+            _, full = fourier._phases(x, terms)
+            assert sines.tobytes() == full.tobytes(), x
 
 
 class TestQuadrature:
