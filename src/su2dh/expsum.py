@@ -63,17 +63,6 @@ node's value does not depend on the other radii of the call, and
 `exp_sum_partial` values.  A sum that is not finite is refused with
 `ExpSumOverflowError`.
 
-Allocation.  Every array of block length that a call uses, the in-block
-phases, the expm1 tables and each block's rows, is a row of one block,
-allocated once per call and written in place, by the same operations in the
-same order as fresh arrays, so with the same bits.  The block, 590 KB for
-three radii, lies above glibc's mmap threshold (128 KB by default): its
-first free raises that threshold to its size and the trim threshold to
-twice that, past a call's working set, so the heap is no longer trimmed at
-the end of a call and faulted back in by the next.  With fresh arrays per
-block, `exp_sum_extrapolated` at M = 10^5 took about 170 minor faults per
-call in a fresh process on glibc 2.36; with the block it takes under 0.1.
-
 numpy is imported inside the functions that build arrays, not at module
 level, because the residue path and the CLI must start without it.
 """
@@ -218,31 +207,21 @@ def _split(x: float) -> tuple[float, float]:
     return hi, x - hi
 
 
-def _phase_table(gamma: tuple[float, float], k: np.ndarray, out=None) -> np.ndarray:
+def _phase_table(gamma: tuple[float, float], k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """cos and sin of gamma*k for the integers k, with gamma = hi + lo from `_split`.
 
     The angle hi*k + lo*k rounds to a float a, and the fast two-sum
     (|hi*k| >= |lo*k|) gives its rounding error e, |e| <= ulp(a)/2, exactly;
-    angle addition then gives the phase of a + e.  They are the two rows of
-    ``out``, a new array if it is None.
+    angle addition then gives the phase of a + e.
     """
     import numpy as np
 
-    if out is None:
-        out = np.empty((2, len(k)))
     hi, lo = gamma[0] * k, gamma[1] * k
     angle = hi + lo
-    error = hi
-    error -= angle
-    error += lo
-    # each array is reused once its value is spent
-    cos, sin = np.cos(angle, out=lo), np.sin(angle, out=angle)
+    error = (hi - angle) + lo
+    cos, sin = np.cos(angle), np.sin(angle)
     cos_e, sin_e = np.cos(error), np.sin(error)
-    np.multiply(cos, cos_e, out=out[0])
-    out[0] -= np.multiply(sin, sin_e, out=error)
-    np.multiply(sin, cos_e, out=out[1])
-    out[1] += np.multiply(cos, sin_e, out=error)
-    return out
+    return cos * cos_e - sin * sin_e, sin * cos_e + cos * sin_e
 
 
 def _poly(coefficients: tuple[float, ...], v, factor, empty=None, out=None):
@@ -295,48 +274,30 @@ def _damped_sums(
     odd = [f.coeffs.get(k, 0j) for k in range(1, f.max_order + 1, 2)]
     even_re, even_im = tuple(a.real for a in even), tuple(a.imag for a in even)
     odd_re, odd_im = tuple(a.real for a in odd), tuple(a.imag for a in odd)
-    width = min(M, _BLOCK)
-    offsets = np.arange(1, width + 1, dtype=float)
+    offsets = np.arange(1, min(M, _BLOCK) + 1, dtype=float)
     heads = np.arange(0, M, _BLOCK, dtype=float)
-    # every row of the block length in one block (see the module docstring): the
-    # in-block phases, r^j - 1 per radius, and the per-block rows, which are u, v,
-    # cos*v, sin*u, a spare row, half of each term as its real and imaginary rows,
-    # and those times r^j - 1 per radius
-    count = len(radii)
-    scratch = np.empty((9 + 3 * count, width))
-    phases, excess, rows = scratch[:2], scratch[2 : 2 + count], scratch[2 + count : 9 + count]
-    weighted = scratch[9 + count :].reshape(count, 2, width)
     log_r = np.log(np.array(radii, dtype=float))
-    np.expm1(np.multiply.outer(log_r, offsets, out=excess), out=excess)
-    excess = excess[:, None, :]
+    excess = np.expm1(np.multiply.outer(log_r, offsets))[:, None, :]
     head_excess = np.expm1(np.multiply.outer(log_r, heads))
     undamped = np.empty((len(heads), 2))
-    excess_sums = np.empty((len(heads), count, 2))
+    excess_sums = np.empty((len(heads), len(radii), 2))
     with np.errstate(over="ignore", invalid="ignore"):  # judged on the sums below
         split = _split(gamma)
-        cos_j, sin_j = _phase_table(split, offsets, phases)
+        cos_j, sin_j = _phase_table(split, offsets)
         cos_s, sin_s = _phase_table(split, heads)
         for b, s in enumerate(heads):
             n = min(_BLOCK, M - int(s))
             cos_b, sin_b = cos_j[:n], sin_j[:n]
-            u, v, cos_v, sin_u, spare = rows[:5, :n]
-            half = rows[5:, :n]
-            np.add(offsets[:n], s, out=u)
-            np.divide(1.0, u, out=u)
-            np.multiply(u, u, out=v)
-            np.multiply(cos_b, cos_s[b], out=cos_v)
-            cos_v -= np.multiply(sin_b, sin_s[b], out=spare)
-            cos_v *= v
-            np.multiply(cos_b, sin_s[b], out=sin_u)
-            sin_u += np.multiply(sin_b, cos_s[b], out=spare)
-            sin_u *= u
-            real = _poly(even_re, v, cos_v, 0.0, half[0])
-            np.subtract(real, _poly(odd_im, v, sin_u, 0.0, spare), out=half[0])
-            imag = _poly(even_im, v, cos_v, 0.0, half[1])
-            np.add(imag, _poly(odd_re, v, sin_u, 0.0, spare), out=half[1])
+            u = 1.0 / (s + offsets[:n])
+            v = u * u
+            cos_v = (cos_s[b] * cos_b - sin_s[b] * sin_b) * v
+            sin_u = (sin_s[b] * cos_b + cos_s[b] * sin_b) * u
+            # half of each term, as its real and imaginary rows
+            half = np.empty((2, n))
+            np.subtract(_poly(even_re, v, cos_v, 0.0), _poly(odd_im, v, sin_u, 0.0), out=half[0])
+            np.add(_poly(even_im, v, cos_v, 0.0), _poly(odd_re, v, sin_u, 0.0), out=half[1])
             np.sum(half, axis=-1, out=undamped[b])
-            np.multiply(excess[..., :n], half, out=weighted[..., :n])
-            np.sum(weighted[..., :n], axis=-1, out=excess_sums[b])
+            np.sum(excess[..., :n] * half, axis=-1, out=excess_sums[b])
         sums = []
         for i, r in enumerate(radii):
             head = head_excess[i][:, None]

@@ -34,11 +34,12 @@ k = 1..block and k = block*m are reduced exactly: with M = 8q, the integer
 4*p*k + q mod M gives the quadrant of x*k, as its quotient by 2q, and the
 angle left, as its remainder less q.  `_turns` reduces each table's start
 and stride mod M once, in Python ints, and forms the table's values in one
-numpy pass.  They are exact in int64 while M*block < 2^63, which every mu
-of small denominator meets.  When M is a power of two up to 2^64, as it is
-for Fraction(t) of every float t >= 2^-9, they are formed in uint64, whose
-wrap-around mod 2^64 keeps them mod M, and read as int64, which changes
-them by a multiple of 2^64.  Any other x takes the exact loop of
+numpy pass in uint64, read as int64.  Each value is below M*block, so it is
+exact while M*block < 2^63, which every mu of small denominator meets.
+When M is a power of two up to 2^64, as it is for Fraction(t) of every
+float t >= 2^-9, a wrap-around, or the read as int64, changes a value by a
+multiple of 2^64, which is a multiple of 4*2q: its remainder by 2q and its
+quotient mod 4 do not change.  Any other x takes the exact loop of
 `_quarter_turns`, one addition per k.  One complex exp gives both tables'
 phases, and one matrix product per table of cos or sin combines them by
 angle addition.  `reconstruct_density` asks for the sines alone, which are
@@ -195,8 +196,7 @@ def _quarter_turns(
     return quadrants, turns, math.pi / (4 * q)
 
 
-# i^n for the quadrant n mod 4, which `_turns` leaves as an index into it
-_UNITS = (1, 1j, -1, -1j)
+_UNITS = (1, 1j, -1, -1j)  # i^n for the quadrant n mod 4
 
 
 def _turns(x: Fraction, block: int) -> tuple[np.ndarray, np.ndarray, float]:
@@ -204,29 +204,24 @@ def _turns(x: Fraction, block: int) -> tuple[np.ndarray, np.ndarray, float]:
 
     With M = 8q each row's start 4*p*first + q and stride 4*p*step are
     reduced mod M in Python ints, and the row start + i*stride, i < block,
-    is formed in int64 or uint64 (see the module docstring for when each is
-    exact), or else by the loop.  Only its value mod M matters: the quadrant
-    is its quotient by 2q mod 4, and the angle numerator its remainder less
-    q.  The quadrants are left unreduced, for ``take`` with mode "wrap".
+    is formed in uint64 (see the module docstring for when that is exact),
+    or else by the loop.  Only its value mod M matters: the quadrant is its
+    quotient by 2q mod 4, and the angle numerator its remainder less q.
     """
     import numpy as np
 
     p, q = x.numerator, x.denominator
     modulus = 8 * q
-    if modulus * block < 2**63:
-        dtype = np.int64
-    elif modulus <= 2**64 and not modulus & (modulus - 1):
-        dtype = np.uint64
-    else:
+    if not (modulus * block < 2**63 or (modulus <= 2**64 and not modulus & (modulus - 1))):
         low, high = (_quarter_turns(x, first, step, block) for first, step in ((1, 1), (0, block)))
         return np.array([low[0], high[0]]), np.array([low[1], high[1]], dtype=float), low[2]
-    starts = np.array([[(4 * p + q) % modulus], [q]], dtype=dtype)
-    strides = np.array([[4 * p % modulus], [4 * p * block % modulus]], dtype=dtype)
+    starts = np.array([[(4 * p + q) % modulus], [q]], dtype=np.uint64)
+    strides = np.array([[4 * p % modulus], [4 * p * block % modulus]], dtype=np.uint64)
     # a wrapped value v reads as v - 2^64 in int64, the same mod 8q, as 8q divides 2^64
-    values = (np.arange(block, dtype=dtype) * strides + starts).view(np.int64)
+    values = (np.arange(block, dtype=np.uint64) * strides + starts).view(np.int64)
     quadrants, turns = np.divmod(values, 2 * q)
     turns -= q
-    return quadrants, turns.astype(float), math.pi / (4 * q)
+    return quadrants & 3, turns.astype(float), math.pi / (4 * q)
 
 
 def _phases(x: Fraction, terms: int, sine_only: bool = False) -> tuple[np.ndarray, ...]:
@@ -243,7 +238,7 @@ def _phases(x: Fraction, terms: int, sine_only: bool = False) -> tuple[np.ndarra
 
     block = math.isqrt(terms - 1) + 1
     quadrants, turns, scale = _turns(x, block)
-    phases = np.exp(1j * scale * turns) * np.array(_UNITS).take(quadrants, mode="wrap")
+    phases = np.exp(1j * scale * turns) * np.array(_UNITS)[quadrants]
     low, high = phases[0], phases[1, : -(-terms // block)]
     sines = [high.imag, high.real]
     rows = [sines] if sine_only else [[high.real, -high.imag], sines]

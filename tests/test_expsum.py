@@ -1,7 +1,6 @@
 """Exponential-sum/residue identity: classics, oracle agreement, branches."""
 
 import math
-import random
 from fractions import Fraction
 
 import mpmath
@@ -20,7 +19,7 @@ from su2dh.expsum import (
 )
 from su2dh.extrapolation import abel_ladder, extrapolate_to_zero
 from su2dh.series import add, bose_kernel, exp_linear, monomial, mul, reciprocal, scale
-from conftest import exp_sum_reference, minor_faults
+from conftest import exp_sum_reference
 
 TWO_PI = 2.0 * math.pi
 BLOCK = expsum._BLOCK
@@ -326,41 +325,6 @@ class TestPartialSums:
             exp_sum_partial(f, gamma, M)
         with pytest.raises(ExpSumOverflowError, match="numeric overflow: the damped sum"):
             exp_sum_extrapolated(f, gamma, M)
-
-
-def oracle_calls(instances):
-    """Work for `minor_faults`: `exp_sum_extrapolated` at M = 10^5 on each instance.
-
-    Each instance is pole coefficients as (order, value) pairs and a gamma.
-    The first two calls are the warm-up.  `minor_faults` runs this in a fresh
-    interpreter, so it imports what it uses.
-    """
-    from su2dh.expsum import RationalPoleFunction, exp_sum_extrapolated
-
-    calls = [(RationalPoleFunction(dict(coeffs)), gamma) for coeffs, gamma in instances]
-
-    def run(chunk):
-        for f, gamma in chunk:
-            exp_sum_extrapolated(f, gamma)
-
-    run(calls[:2])
-    return lambda: run(calls[2:])
-
-
-class TestOracleAllocation:
-    """The oracle's rows of block length share one block, allocated once per call."""
-
-    def test_oracle_calls_do_not_refault_the_heap(self):
-        # With fresh arrays per block, glibc trimmed the freed top of its heap
-        # and the next call faulted it back in: about 170 minor faults per call.
-        rand = random.Random(1_702_017)
-        instances = []
-        for _ in range(22):
-            orders = rand.sample([1, 2, 3, 4, 5], k=rand.randint(1, 3))
-            coeffs = [(k, complex(rand.uniform(-1, 1), rand.uniform(-1, 1))) for k in orders]
-            gamma = rand.choice([1.0, -1.0]) * rand.uniform(0.1, TWO_PI - 0.1)
-            instances.append((coeffs, gamma))
-        assert minor_faults(oracle_calls, instances) <= 8 * 20
 
 
 class TestOracleSameSums:

@@ -597,15 +597,15 @@ BLOCKS = sorted({math.isqrt(terms - 1) + 1 for terms in (1, 2, 3, 99, 100, 101)}
 
 
 def boundary_fractions(block: int) -> list[Fraction]:
-    """x at each boundary of `fourier._turns`' integer types, for rows of this block."""
-    largest_int64 = (2**63 - 1) // (8 * block)  # the largest q with 8q*block < 2^63
-    power = 2 ** (largest_int64.bit_length() - 1)
+    """x on each side of `fourier._turns`' bounds for its numpy pass, for rows of this block."""
+    largest = (2**63 - 1) // (8 * block)  # the largest q with 8q*block < 2^63
+    power = 2 ** (largest.bit_length() - 1)
     return [
-        odd_numerator(largest_int64),  # int64, 8q*block = 2^63 - 1 less at most 8*block
-        odd_numerator(largest_int64 + 1),  # uint64 if q is a power of two, else the loop
-        Fraction(3, power),  # int64, the largest power of two
-        Fraction(3, 2 * power),  # uint64, 8q*block >= 2^63
-        Fraction(3, 2**61),  # 8q = 2^64: the largest uint64 modulus
+        odd_numerator(largest),  # no wrap, 8q*block = 2^63 - 1 less at most 8*block
+        odd_numerator(largest + 1),  # wraps if q is a power of two, else the loop
+        Fraction(3, power),  # no wrap, the largest power of two
+        Fraction(3, 2 * power),  # wraps, 8q*block >= 2^63
+        Fraction(3, 2**61),  # 8q = 2^64: the largest modulus that wraps
         Fraction(2**62 - 1, 2**61),  # x > 1
         Fraction(5, 2**62),  # 8q = 2^65: the loop
         odd_numerator(2**1000 + 7),  # 1001 bits: the turns as quotients
@@ -622,7 +622,7 @@ def boundary_fractions(block: int) -> list[Fraction]:
 
 
 class TestTurns:
-    """`_turns` reduces exactly as the per-k loop does, on each side of its integer types."""
+    """`_turns` reduces exactly as the per-k loop does, on each side of its bounds."""
 
     @pytest.mark.parametrize("block", BLOCKS)
     def test_rows_match_the_loop(self, block):
@@ -631,7 +631,7 @@ class TestTurns:
             assert quadrants.shape == turns.shape == (2, block)
             for row, (first, step) in enumerate(((1, 1), (0, block))):
                 expected = loop_quarter_turns(x, first, step, block)
-                assert [int(n) % 4 for n in quadrants[row]] == expected[0], (x, row)
+                assert [int(n) for n in quadrants[row]] == expected[0], (x, row)
                 assert [float(y).hex() for y in turns[row]] == [y.hex() for y in expected[1]]
                 assert scale.hex() == expected[2].hex()
 
