@@ -16,7 +16,6 @@ validation error, 3 numeric failure.
 from __future__ import annotations
 
 import argparse
-import cmath
 import csv
 import io
 import json
@@ -237,13 +236,15 @@ def _cmd_eval(args: argparse.Namespace) -> int:
         raise SpaceFormatError("--richardson must be >= 0")
     if args.terms > _MAX_GRID_POINTS:
         raise SpaceFormatError(f"--terms must be at most {_MAX_GRID_POINTS}, got {args.terms}")
+    # the ladder leaves (0, 1) when --richardson is too large for --abel
+    ladder = named("--richardson", abel_ladder, args.abel, args.richardson)
     # --method is a choice and abel_ladder checks the radii, so only --terms can fail
     method = named(
         "--terms",
         SummationMethod,
         kind=args.method,
         terms=args.terms,
-        abel_r=tuple(1.0 - h for h in abel_ladder(args.abel, args.richardson)),
+        abel_r=tuple(1.0 - h for h in ladder),
     )
 
     header = ["t", "density", "volume"]
@@ -355,9 +356,10 @@ def _cmd_lemma(args: argparse.Namespace) -> int:
         raise SpaceFormatError("--tol must be finite and positive")
 
     residue_value = exp_sum_residue(f, args.gamma)
-    if not cmath.isfinite(residue_value):
-        raise ExpSumOverflowError("numeric overflow: the residue value is not finite")
-    oracle_value = exp_sum_extrapolated(f, args.gamma, M=args.M, damping_r=args.r)
+    # every other argument is checked above, so only the ladder from --r can be refused
+    oracle_value = named(
+        "--r", exp_sum_extrapolated, f, args.gamma, M=args.M, damping_r=args.r
+    )
     diff = abs(residue_value - oracle_value)
     passed = diff <= args.tol * (1.0 + abs(residue_value))
     status = "PASS" if passed else "FAIL"

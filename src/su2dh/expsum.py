@@ -13,8 +13,9 @@ sum_n B_n(x) u^n/n! (DLMF 24.2.3) at u = 2*pi*i*z, x = gamma/(2*pi), so
 
     sum_{m != 0} e^{i*m*gamma} f(m) = sum_k -a_k (2*pi*i)^k / k! * B_k(x),
 
-with each (2*pi)^k B_k(x) / k! an exact rational (`bernoulli_values`, 2*pi
-to 30 decimals) rounded once.  For -2*pi < gamma < 0 the substitution
+with each (2*pi)^k B_k(x) / k! an exact rational, pi^k times the ratio
+2^k B_k(x) / k! of `bernoulli_ratios` with pi to 30 decimals, rounded once
+as one int/int division.  For -2*pi < gamma < 0 the substitution
 m -> -m turns the sum into the one for f(-z), whose coefficients are
 (-1)^k a_k, at the phase -gamma > 0.
 
@@ -25,8 +26,8 @@ the endpoints is attempted.
 This module is both a standalone utility and the backbone consistency check
 for the density evaluator: the density formulas are exactly two instances of
 this identity with gamma = pi*(t + mu) and gamma = pi*(mu - t), and
-`su2dh.residue` compiles its chamber polynomials from the same Bernoulli
-values, as the integers of `bernoulli_numerators`.
+`su2dh.residue` compiles its chamber polynomials from the same row of
+`bernoulli_ratios`.
 
 `RationalPoleFunction` evaluates sum_k a_k x^{-k} for the lemma.  A direct
 summation oracle is included.  It pairs m with -m, so the terms are
@@ -84,8 +85,9 @@ if TYPE_CHECKING:
 _TWO_PI = 2.0 * math.pi
 # 2*pi to 30 decimals.  Near a root of B_k, B_k(x) magnifies an error in x,
 # so x = gamma/(2*pi) is rounded to a multiple of 2^-64, far finer than a
-# float quotient, with a denominator that keeps `bernoulli_values` fast.
+# float quotient, with a denominator that keeps `bernoulli_ratios` fast.
 _TWO_PI_EXACT = 2 * Fraction("3.141592653589793238462643383280")
+_PI_RATIO = (_TWO_PI_EXACT / 2).as_integer_ratio()
 _X_GRID = 2**64
 # Terms per block of the damped-sum oracle (see the module docstring); 2048
 # and 16384 were slower, and 8192 no faster.  A power of two, so a block head
@@ -148,36 +150,37 @@ def _check_gamma(gamma: float) -> float:
     return gamma
 
 
-def bernoulli_numerators(x: Fraction, high: int) -> tuple[list[int], int]:
-    """Integers e_n and D with B_n(x) = e_n / (D q^n) for n = 0..high, where x = p/q.
+def bernoulli_ratios(x: Fraction, high: int) -> list[tuple[int, int]]:
+    """Integer pairs (a_n, b_n) with a_n / b_n = 2^n B_n(x) / n! for n = 0..high, unreduced.
 
-    D = lcm(1, ..., high + 1) makes every e_n an integer (by von
-    Staudt-Clausen the denominator of B_j divides lcm(1, ..., j + 1)).  They
-    follow from sum_{j<=n} C(n+1, j) B_j(x) = (n+1) x^n, so the recurrence
-    runs in integers, every division by n + 1 exact:
+    With x = p/q and D = lcm(1, ..., high + 1), the pair is
+    (e_n << n, D q^n n!), where e_n = D q^n B_n(x) is an integer (by von
+    Staudt-Clausen the denominator of B_j divides lcm(1, ..., j + 1)).  The
+    e_n follow from sum_{j<=n} C(n+1, j) B_j(x) = (n+1) x^n, so the
+    recurrence runs in integers, every division by n + 1 exact:
 
         e_n = D p^n - sum_{j<n} C(n+1, j) q^(n-j) e_j / (n+1),
 
     with the sum taken by Horner's rule in q and the binomial row C(n+1, .)
-    updated by Pascal's rule.  The fractions are not reduced.
+    updated by Pascal's rule.  One int/int division rounds a ratio, times
+    any integer factors, correctly, as float(Fraction) does, reduced or not.
     """
     p, q = x.numerator, x.denominator
     scale = math.lcm(*range(1, high + 2))
+    denominator = scale
     scaled: list[int] = []
+    ratios: list[tuple[int, int]] = []
     binomial = [1, 1]
     for n in range(high + 1):
         tail = 0
         for c, e in zip(binomial, scaled):
             tail = (tail + c * e) * q
         scaled.append(scale * p**n - tail // (n + 1))
+        if n:
+            denominator *= n * q
+        ratios.append((scaled[-1] << n, denominator))
         binomial = [1, *map(operator.add, binomial, binomial[1:]), 1]
-    return scaled, scale
-
-
-def bernoulli_values(x: Fraction, high: int) -> list[Fraction]:
-    """The Bernoulli polynomial values B_0(x), ..., B_high(x), exactly (`bernoulli_numerators`)."""
-    scaled, scale = bernoulli_numerators(x, high)
-    return [Fraction(e, scale * x.denominator**n) for n, e in enumerate(scaled)]
+    return ratios
 
 
 def exp_sum_residue(f: RationalPoleFunction, gamma: float) -> complex:
@@ -189,11 +192,14 @@ def exp_sum_residue(f: RationalPoleFunction, gamma: float) -> complex:
         coeffs = {k: -a if k % 2 else a for k, a in coeffs.items()}
         gamma = -gamma
     x = Fraction(round(Fraction(gamma) / _TWO_PI_EXACT * _X_GRID), _X_GRID)
-    bernoulli = bernoulli_values(x, f.max_order)
-    return sum(
-        -a * 1j ** (k % 4) * float(_TWO_PI_EXACT**k * bernoulli[k] / math.factorial(k))
+    ratios = bernoulli_ratios(x, f.max_order)
+    pi_p, pi_q = _PI_RATIO
+    # (2*pi)^k B_k(x) / k! = pi^k * 2^k B_k(x) / k!, rounded once
+    value = sum(
+        -a * 1j ** (k % 4) * (pi_p**k * ratios[k][0] / (pi_q**k * ratios[k][1]))
         for k, a in coeffs.items()
     )
+    return _finite(value, "the residue value")
 
 
 def _split(x: float) -> tuple[float, float]:

@@ -24,7 +24,6 @@ def extrapolate_to_zero(
         raise ValueError("extrapolation nodes must be distinct")
     if len(vals) == 1:
         return vals[0], float("nan")
-    previous = vals[0]
     n = len(vals)
     for k in range(1, n):
         previous = vals[0]

@@ -26,7 +26,7 @@ rounded angle larger than pi/4 reaches cos or sin, at any n.  Where
 n + 1 are used in its place; a subnormal t, whose reduced angles would lose
 their precision, is among these.
 `fourier_coefficient` runs the same fold in Python floats at the exact
-integer n + 1.
+integer n + 1, with its one phase reduced by one divmod.
 
 Phases.  For x = p/q, w = n + 1 is split as 1 + j + block*m with
 block = ceil(sqrt(terms)), and the phases of the about 2*sqrt(terms) values
@@ -39,8 +39,8 @@ exact while M*block < 2^63, which every mu of small denominator meets.
 When M is a power of two up to 2^64, as it is for Fraction(t) of every
 float t >= 2^-9, a wrap-around, or the read as int64, changes a value by a
 multiple of 2^64, which is a multiple of 4*2q: its remainder by 2q and its
-quotient mod 4 do not change.  Any other x takes the exact loop of
-`_quarter_turns`, one addition per k.  One complex exp gives both tables'
+quotient mod 4 do not change.  Any other x forms the same rows in Python
+ints, as a numpy object array.  One complex exp gives both tables'
 phases, and one matrix product per table of cos or sin combines them by
 angle addition.  `reconstruct_density` asks for the sines alone, which are
 the same product as the sine rows of the full table, so the same bits.
@@ -162,66 +162,51 @@ class SummationMethod:
             raise ValueError(f"abel_r must give distinct nodes 1 - r, got {self.abel_r!r}")
 
 
-def _quarter_turns(
-    x: Fraction, first: int, step: int, count: int
-) -> tuple[list[int], list, float]:
-    """Quadrants n, and numerators of pi*y, for x*k = n/2 + y with -1/4 <= y < 1/4.
+def _turn_scale(turns, q: int) -> tuple:
+    """The numerators r - q of pi*y, and their scale pi/(4q), as `_turns` defines them.
 
-    k runs over first + i*step for i < count, and e^{pi*i*x*k} is
-    i^n e^{pi*i*y}.  With x = p/q the reduction is exact, in integers:
-    4*p*k + q = 2*q*n + r with 0 <= r < 2q gives pi*y = (r - q) * pi/(4q),
-    and n and r - q step with k by additions.  The numerators r - q are
-    returned with the scale pi/(4q), or, for a q too large to convert, as the
-    quotients (r - q)/(4q) with the scale pi.  Only the angle, at most pi/4
-    in size, is rounded, so a multiple of a quarter turn gives its cos and
-    sin exactly.
+    For a q too large for 4q to convert to a float they are returned as the
+    quotients (r - q)/(4q), with the scale pi.  ``turns`` is a Python int or
+    an array of them.
     """
-    p, q = x.numerator, x.denominator
-    two_q = 2 * q
-    quadrant, turn = divmod(4 * p * first + q, two_q)
-    quadrant_step, turn_step = divmod(4 * p * step, two_q)
-    turn -= q
-    quadrants: list[int] = []
-    turns: list[int] = []
-    for _ in range(count):
-        quadrants.append(quadrant & 3)
-        turns.append(turn)
-        quadrant += quadrant_step
-        turn += turn_step
-        if turn >= q:
-            turn -= two_q
-            quadrant += 1
     if q.bit_length() > 1000:  # 4q would not convert to a float
-        return quadrants, [turn / (4 * q) for turn in turns], math.pi
-    return quadrants, turns, math.pi / (4 * q)
+        return turns / (4 * q), math.pi
+    return turns, math.pi / (4 * q)
 
 
 _UNITS = (1, 1j, -1, -1j)  # i^n for the quadrant n mod 4
 
 
 def _turns(x: Fraction, block: int) -> tuple[np.ndarray, np.ndarray, float]:
-    """`_quarter_turns` for k = 1..block and for k = 0, block, ..., as two rows of block.
+    """Quadrants n mod 4, numerators of pi*y and their scale, for x*k = n/2 + y, -1/4 <= y < 1/4.
 
-    With M = 8q each row's start 4*p*first + q and stride 4*p*step are
-    reduced mod M in Python ints, and the row start + i*stride, i < block,
-    is formed in uint64 (see the module docstring for when that is exact),
-    or else by the loop.  Only its value mod M matters: the quadrant is its
-    quotient by 2q mod 4, and the angle numerator its remainder less q.
+    k runs over 1..block and over 0, block, ..., as two rows of block, and
+    e^{pi*i*x*k} is i^n e^{pi*i*y}.  With x = p/q the reduction is exact, in
+    integers: 4*p*k + q = 2*q*n + r with 0 <= r < 2q gives pi*y = (r - q) *
+    pi/(4q) (see `_turn_scale`).  Only the angle, at most pi/4 in size, is
+    rounded, so a multiple of a quarter turn gives its cos and sin exactly.
+    Only 4*p*k + q mod M = 8q matters, so each row's start and stride are
+    reduced mod M in Python ints, and the row start + i*stride, i < block, is
+    formed in one numpy pass: in uint64 read as int64 where that is exact
+    (see the module docstring), else in Python ints.
     """
     import numpy as np
 
     p, q = x.numerator, x.denominator
     modulus = 8 * q
-    if not (modulus * block < 2**63 or (modulus <= 2**64 and not modulus & (modulus - 1))):
-        low, high = (_quarter_turns(x, first, step, block) for first, step in ((1, 1), (0, block)))
-        return np.array([low[0], high[0]]), np.array([low[1], high[1]], dtype=float), low[2]
-    starts = np.array([[(4 * p + q) % modulus], [q]], dtype=np.uint64)
-    strides = np.array([[4 * p % modulus], [4 * p * block % modulus]], dtype=np.uint64)
-    # a wrapped value v reads as v - 2^64 in int64, the same mod 8q, as 8q divides 2^64
-    values = (np.arange(block, dtype=np.uint64) * strides + starts).view(np.int64)
-    quadrants, turns = np.divmod(values, 2 * q)
-    turns -= q
-    return quadrants & 3, turns.astype(float), math.pi / (4 * q)
+    fits = modulus * block < 2**63 or (modulus <= 2**64 and not modulus & (modulus - 1))
+    dtype = np.uint64 if fits else object
+    starts = np.array([[(4 * p + q) % modulus], [q]], dtype=dtype)
+    strides = np.array([[4 * p % modulus], [4 * p * block % modulus]], dtype=dtype)
+    values = np.arange(block, dtype=dtype) * strides + starts
+    if fits:
+        # a wrapped value v reads as v - 2^64 in int64, the same mod 8q, as 8q divides 2^64
+        quadrants, turns = np.divmod(values.view(np.int64), 2 * q)
+    else:
+        # numpy's divmod has no loop for Python ints
+        quadrants, turns = (values // (2 * q)).astype(np.int64), values % (2 * q)
+    turns, scale = _turn_scale(turns - q, q)
+    return quadrants & 3, turns.astype(float), scale
 
 
 def _phases(x: Fraction, terms: int, sine_only: bool = False) -> tuple[np.ndarray, ...]:
@@ -354,13 +339,11 @@ def _coefficients(space: QHSpace, terms: int) -> tuple[np.ndarray, float]:
 
 
 # Bounded, because a caller may try many methods.  An entry holds 8 bytes per
-# term for the weights and 8 more per damping - 1 array: 320 KB for the
-# default Abel ladder at 10,000 terms.
+# term for each damping - 1 array: 240 KB for the default Abel ladder at
+# 10,000 terms.
 @lru_cache(maxsize=4)
-def _ladder(
-    method: SummationMethod,
-) -> tuple[np.ndarray, tuple[tuple[float, np.ndarray | float], ...]]:
-    """Read-only weights n + 1 for n < terms, and the method's (node, damping - 1) pairs.
+def _ladder(method: SummationMethod) -> tuple[tuple[float, np.ndarray | float], ...]:
+    """The method's (node, damping - 1) pairs, with read-only arrays.
 
     The pairs are the extrapolation node h and the damping of term n less
     1, which is what `reconstruct_density` sums against.  A single pair
@@ -370,7 +353,6 @@ def _ladder(
     import numpy as np
 
     n_terms = method.terms
-    weights = np.arange(1, n_terms + 1, dtype=float)
     n_index = np.arange(n_terms, dtype=float)
     if method.kind == "partial":
         ladder: tuple = ((1.0, 1.0),)
@@ -379,17 +361,18 @@ def _ladder(
     else:
         ladder = tuple((1.0 - r, np.exp(n_index * math.log(r))) for r in method.abel_r)
     ladder = tuple((h, damping - 1.0) for h, damping in ladder)
-    for array in (weights, *(excess for _, excess in ladder)):
-        if isinstance(array, np.ndarray):
-            array.flags.writeable = False
-    return weights, ladder
+    for _, excess in ladder:
+        if isinstance(excess, np.ndarray):
+            excess.flags.writeable = False
+    return ladder
 
 
 def fourier_coefficient(space: QHSpace, n: int) -> complex:
     """Localization value of <density, chi_n> for one n >= 0.
 
     It is the fold of `_coefficients` for the exact weight w = n + 1, in
-    Python floats, with each phase reduced exactly at w.
+    Python floats, with each phase reduced exactly at w.  A value that is
+    not finite raises `DensityOverflowError`.
     """
     if not isinstance(n, int) or isinstance(n, bool) or n < 0:
         raise ValueError("n must be an integer >= 0")
@@ -397,10 +380,17 @@ def fourier_coefficient(space: QHSpace, n: int) -> complex:
     u = 1 / w
     real = imag = 0.0
     for comp in space.components:
-        (quadrant,), (turn,), scale = _quarter_turns(comp.mu, w, 1, 1)
+        p, q = comp.mu.numerator, comp.mu.denominator
+        quadrant, turn = divmod(4 * p * w + q, 2 * q)
+        turn, scale = _turn_scale(turn - q, q)
         c, s = math.cos(turn * scale), math.sin(turn * scale)
-        phase = ((c, s), (-s, c), (-c, -s), (s, -c))[quadrant]
+        phase = ((c, s), (-s, c), (-c, -s), (s, -c))[quadrant & 3]
         real, imag = _fold(comp, u, u * u, *phase, real, imag, (None, None))
+    if not (math.isfinite(real) and math.isfinite(imag)):
+        raise DensityOverflowError(
+            f"numeric overflow: space {space.name!r} has a non-finite Fourier coefficient "
+            f"at n = {n}"
+        )
     return complex(real, imag)
 
 
@@ -439,11 +429,10 @@ def reconstruct_density(
             f"non-real density (check input data): space {space.name!r} has Fourier "
             f"coefficients with relative imaginary residual {residual:.3e}"
         )
-    weights, ladder = _ladder(method)
     if (math.pi * t * method.terms) ** 2 < 2.0**-53:
         # chi_n(t) = (n+1) * (1 - O((pi*(n+1)*t)^2)) rounds to n + 1.  This also keeps a
         # subnormal t exact, whose sines below would be rounded one by one.
-        base_terms = coefficients * weights
+        base_terms = coefficients * np.arange(1.0, method.terms + 1)
     else:
         # chi_n(t) = sin(pi*(n+1)*t) / sin(pi*t), and sin(pi*t) is the first sine; the
         # table is this call's own, so the terms are built in it
@@ -457,7 +446,7 @@ def reconstruct_density(
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow is judged below
         undamped = _RECONSTRUCTION_FACTOR * float(np.add.reduce(base_terms))
         samples = []
-        for h, excess in ladder:
+        for h, excess in _ladder(method):
             np.multiply(base_terms, excess, out=scratch)
             samples.append((h, _RECONSTRUCTION_FACTOR * float(np.add.reduce(scratch))))
     change, last_change = extrapolate_to_zero(samples)

@@ -28,14 +28,14 @@ function at u = 2*pi*i*z (DLMF 24.2.3), so with n = k - 2 - 2j >= 0
     R = -+half * 2^n B_n(w/2) (-1)^j / (n! (2j+1)!),
 
 with the minus sign below the wall and half = 1/2 for central components.
-Each R is an exact rational, from the integers of
-`expsum.bernoulli_numerators`, rounded once: one division of its integer
-numerator by its integer denominator, which Python rounds correctly, as
-float(Fraction) does, reduced or not.  Each component object keeps its
-two polynomials from its first use.  A wall's one-sided limit is then the
-choice of branch, and the central values at +e and -e, the t -> 0+ and
-t -> 1- limits of the two branches, are the linear coefficients of P_below
-and P_above divided by pi.
+Each R is an exact rational, from the integer ratio row of
+`expsum.bernoulli_ratios` that `exp_sum_residue` also reads, rounded once:
+one division of its integer numerator by its integer denominator, which
+Python rounds correctly, as float(Fraction) does, reduced or not.  Each
+component object keeps its two polynomials from its first use.  A wall's
+one-sided limit is then the choice of branch, and the central values at +e
+and -e, the t -> 0+ and t -> 1- limits of the two branches, are the linear
+coefficients of P_below and P_above divided by pi.
 Central values are meaningful only at a regular value of the moment map,
 which the caller must assert: a component at mu = 0 (at +e) or mu = 1 (at
 -e) refutes it, and no fixed-point data confirm it.  The above branch stays
@@ -88,7 +88,7 @@ from .model import (
     QHSpace,
     require_interior_alcove,
 )
-from .expsum import bernoulli_numerators
+from .expsum import bernoulli_ratios
 
 
 class WallError(ArithmeticError):
@@ -171,14 +171,7 @@ def _branch(
     try:
         # first, so that pi**k, which overflows for k >= 621, fails before the Bernoulli values
         scaled = [(k, c * math.pi**k) for k, c in coefficients]
-        # 2^n B_n(weight/2) / n! as an integer numerator and denominator, D q^n n!
-        half_weight = weight / 2
-        numerators, denominator = bernoulli_numerators(half_weight, max_power - 2)
-        ratios = []
-        for n, e in enumerate(numerators):
-            if n:
-                denominator *= n * half_weight.denominator
-            ratios.append((e << n, denominator))
+        ratios = bernoulli_ratios(weight / 2, max_power - 2)
         coeffs, odd_factorial = [], 1
         for j in range(max_power // 2):
             odd_factorial *= 2 * j * (2 * j + 1) or 1

@@ -1,3 +1,4 @@
+import functools
 import inspect
 import math
 import os
@@ -130,6 +131,28 @@ def minor_faults(fn, *args) -> int:
 @pytest.fixture
 def rng() -> random.Random:
     return random.Random(20240811)
+
+
+@functools.lru_cache(maxsize=None)
+def _bernoulli_number(n: int) -> Fraction:
+    """B_n with B_1 = -1/2, from sum_{j<=n} C(n+1, j) B_j = 0 for n >= 1."""
+    if n == 0:
+        return Fraction(1)
+    if n > 1 and n % 2:
+        return Fraction(0)
+    return -sum(math.comb(n + 1, j) * _bernoulli_number(j) for j in range(n)) / (n + 1)
+
+
+def bernoulli_fractions(x: Fraction, high: int) -> list[Fraction]:
+    """B_0(x), ..., B_high(x) as Fractions, each by its binomial sum
+    B_n(x) = sum_j C(n, j) B_j x^(n-j) in Horner's rule: the tests' reference."""
+    values = []
+    for n in range(high + 1):
+        value = Fraction(0)
+        for j in range(n + 1):
+            value = value * x + math.comb(n, j) * _bernoulli_number(j)
+        values.append(value)
+    return values
 
 
 def exp_sum_reference(coeffs: dict[int, complex], gamma: float) -> tuple[complex, float]:

@@ -563,6 +563,10 @@ class TestParser:
             (("eval", "--builtin", "s4", "--t", "0.3", "--mode", "fourier", "--terms", "0"),
              "--terms"),
             (("lemma", "--coeff", "2:nan", "--gamma", "1"), "--coeff"),
+            # ladders that leave (0, 1): 1 - 0.1 * 2^5 and 1 - 0.4 * 2^2
+            (("eval", "--builtin", "s4", "--t", "0.3", "--abel", "0.9", "--richardson", "5"),
+             "--richardson"),
+            (("lemma", "--coeff", "2:1", "--gamma", "1", "--r", "0.6"), "--r"),
         ],
     )
     def test_library_rules_name_the_flag(self, args, flag):

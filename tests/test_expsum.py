@@ -1,6 +1,7 @@
 """Exponential-sum/residue identity: classics, oracle agreement, branches."""
 
 import math
+import random
 from fractions import Fraction
 
 import mpmath
@@ -12,14 +13,13 @@ from su2dh.expsum import (
     ExpSumOverflowError,
     GammaRangeError,
     RationalPoleFunction,
-    bernoulli_values,
     exp_sum_extrapolated,
     exp_sum_partial,
     exp_sum_residue,
 )
 from su2dh.extrapolation import abel_ladder, extrapolate_to_zero
 from su2dh.series import add, bose_kernel, exp_linear, monomial, mul, reciprocal, scale
-from conftest import exp_sum_reference
+from conftest import bernoulli_fractions, exp_sum_reference
 
 TWO_PI = 2.0 * math.pi
 BLOCK = expsum._BLOCK
@@ -137,6 +137,14 @@ class TestPoleFunction:
             RationalPoleFunction({2: 1.0, 3: bad})
 
 
+def ratio_values(x: Fraction, high: int) -> list[Fraction]:
+    """B_n(x) = n! / 2^n times the ratios of `expsum.bernoulli_ratios`."""
+    return [
+        Fraction(a, b) * math.factorial(n) / 2**n
+        for n, (a, b) in enumerate(expsum.bernoulli_ratios(x, high))
+    ]
+
+
 class TestBernoulliValues:
     @pytest.mark.parametrize("x", [Fraction(0), Fraction(1, 2), Fraction(7, 40), Fraction(47, 40),
                                    Fraction(-3, 7), Fraction(0.3 / TWO_PI)])
@@ -145,25 +153,70 @@ class TestBernoulliValues:
         # (sympy >= 1.12 gives B_1 = +1/2; the sum needs B_1 = -1/2)
         numbers = [Fraction(str(sympy.bernoulli(j))) for j in range(61)]
         numbers[1] = Fraction(-1, 2)
-        values = bernoulli_values(x, 60)
-        assert len(values) == 61 and all(isinstance(v, Fraction) for v in values)
-        # the integers that the residue compiler divides: B_n(x) = e_n / (D q^n)
-        numerators, scale = expsum.bernoulli_numerators(x, 60)
-        assert scale == math.lcm(*range(1, 62)) and all(isinstance(e, int) for e in numerators)
-        for n, (value, e) in enumerate(zip(values, numerators, strict=True)):
-            assert value == sum(math.comb(n, j) * numbers[j] * x ** (n - j) for j in range(n + 1))
-            assert Fraction(e, scale * x.denominator**n) == value
+        # the unreduced integers that both consumers divide: (e_n << n, D q^n n!)
+        ratios = expsum.bernoulli_ratios(x, 60)
+        assert len(ratios) == 61
+        for n, (a, b) in enumerate(ratios):
+            assert isinstance(a, int) and isinstance(b, int) and a % 2**n == 0
+            assert b == math.lcm(*range(1, 62)) * x.denominator**n * math.factorial(n)
+            value = sum(math.comb(n, j) * numbers[j] * x ** (n - j) for j in range(n + 1))
+            assert Fraction(a, b) == 2**n * value / math.factorial(n)
 
     def test_reflection_and_difference_identities(self):
         # B_n(1 - x) = (-1)^n B_n(x) and B_n(x + 1) - B_n(x) = n x^(n-1)
         x = Fraction(3, 11)
-        low, reflected, shifted = (bernoulli_values(y, 20) for y in (x, 1 - x, x + 1))
+        low, reflected, shifted = (ratio_values(y, 20) for y in (x, 1 - x, x + 1))
         for n in range(21):
             assert reflected[n] == (-1) ** n * low[n]
             assert shifted[n] - low[n] == (n * x ** (n - 1) if n else 0)
 
 
+# 2*pi to 30 decimals, the constant of the library's closed form
+TWO_PI_EXACT = 2 * Fraction("3.141592653589793238462643383280")
+
+
+def fraction_residue(f: RationalPoleFunction, gamma: float) -> complex:
+    """`exp_sum_residue` with each (2*pi)^k B_k(x) / k! built from Fraction
+    operations and rounded by float(Fraction)."""
+    coeffs = f.coeffs
+    if gamma < 0:
+        coeffs = {k: -a if k % 2 else a for k, a in coeffs.items()}
+        gamma = -gamma
+    x = Fraction(round(Fraction(gamma) / TWO_PI_EXACT * 2**64), 2**64)
+    bernoulli = bernoulli_fractions(x, max(coeffs))
+    return sum(
+        -a * 1j ** (k % 4) * float(TWO_PI_EXACT**k * bernoulli[k] / math.factorial(k))
+        for k, a in coeffs.items()
+    )
+
+
+class TestResidueRounding:
+    """Each order's exact rational is rounded once, as one integer division."""
+
+    def test_orders_round_as_fractions(self):
+        rng = random.Random(2205)
+        cases = [rng.sample(range(1, 9), rng.randint(1, 4)) for _ in range(1000)]
+        cases += [[20], [60], [150], [2, 61, 150], [1, 20, 149]] * 2
+        ends = (5e-324, 1e-9, math.nextafter(TWO_PI, 0.0))
+        for i, orders in enumerate(cases):
+            coeffs = {k: complex(rng.uniform(-2, 2), rng.choice((0.0, rng.uniform(-2, 2))))
+                      for k in orders}
+            gamma = rng.uniform(0.0, TWO_PI) if i % 50 else rng.choice(ends)
+            gamma = -gamma if i % 2 else gamma
+            f = RationalPoleFunction(coeffs)
+            value, expected = exp_sum_residue(f, gamma), fraction_residue(f, gamma)
+            assert (value.real.hex(), value.imag.hex()) == (
+                expected.real.hex(), expected.imag.hex()
+            ), (coeffs, gamma)
+
+
 class TestResidueSide:
+    def test_overflow_is_refused(self):
+        # a finite coefficient whose term is beyond the float range gave (inf+0j)
+        f = RationalPoleFunction({2: 1.7e308})
+        with pytest.raises(ExpSumOverflowError, match="^numeric overflow: the residue value is "):
+            exp_sum_residue(f, 0.1)
+
     def test_alternating_inverse_squares(self):
         # sum over m != 0 of (-1)^m / m^2 = -pi^2/6
         value = exp_sum_residue(RationalPoleFunction({2: 1.0}), math.pi)

@@ -305,8 +305,8 @@ class TestCoefficientCache:
         reconstruct_density(space, 0.37, self.METHOD)
         values, _ = fourier._coefficients(space, self.METHOD.terms)
         assert fourier._coefficients(space, self.METHOD.terms)[0] is values
-        weights, ladder = fourier._ladder(SummationMethod())
-        for array in (values, weights, *(damping for _, damping in ladder)):
+        ladder = fourier._ladder(SummationMethod())
+        for array in (values, *(damping for _, damping in ladder)):
             with pytest.raises(ValueError):
                 array[0] = 0.0
 
@@ -404,12 +404,11 @@ class TestOneFold:
         def digests() -> list[str]:
             arrays = [fourier._coefficients(space, method.terms)[0] for method in methods]
             for method in methods:
-                weights, ladder = fourier._ladder(method)
-                arrays += [weights, *(e for _, e in ladder if isinstance(e, np.ndarray))]
+                arrays += [e for _, e in fourier._ladder(method) if isinstance(e, np.ndarray)]
             return [hashlib.sha1(array.tobytes()).hexdigest() for array in arrays]
 
         before = digests()
-        # 1e-20 is a tiny t, whose characters are the stored weights
+        # 1e-20 is a tiny t, whose characters are the weights n + 1
         points = [1e-20] + [interior_t_avoiding_walls(rng, space) for _ in range(4)]
         for i in range(50):
             reconstruct_density(space, points[i % 5], methods[i % 3])
@@ -504,7 +503,7 @@ def mp_same_sums(space: QHSpace, t: float, methods: list[SummationMethod]) -> li
         sums = []
         for method in methods:
             samples = []
-            for h, excess in fourier._ladder(method)[1]:
+            for h, excess in fourier._ladder(method):
                 excesses = [excess] * len(terms) if isinstance(excess, float) else excess
                 total = mpmath.fdot(terms, [1 + mpmath.mpf(float(e)) for e in excesses])
                 samples.append((mpmath.mpf(h), 2 * mpmath.pi / mpmath.sqrt(2) * total))
@@ -553,6 +552,30 @@ class TestExactPhases:
         expected, size = mp_localization(space, n + 1)
         assert abs(fourier_coefficient(space, n) - expected) <= 1e-14 * size
 
+    @pytest.mark.parametrize("q", [2**999 + 5, 2**1000 + 7, 10**25 + 7])
+    def test_large_denominator_coefficients(self, q):
+        # 1000 and 1001 bits, on either side of the turns taken as quotients with
+        # the scale pi, and an odd q whose 8q does not fit 64 bits
+        mu = odd_numerator(q)
+        space = QHSpace(
+            "large-q",
+            (FixedComponent("a", mu, {2: 0.5, 3: 1j}), FixedComponent("b", 1 - mu, {2: 0.25})),
+            1,
+        )
+        for n in (0, 1, 7, 999, 2**40):
+            expected, size = mp_localization(space, n + 1)
+            assert abs(fourier_coefficient(space, n) - expected) <= 1e-14 * size, n
+
+    def test_overflowing_coefficient_is_refused(self):
+        # reconstruct_density refused these, and fourier_coefficient gave (inf+0j)
+        mus = (Fraction(1, 4), Fraction(1, 4) + Fraction(1, 10**9))
+        comps = tuple(FixedComponent(f"c{i}", mu, {2: 1.7e308}) for i, mu in enumerate(mus))
+        space = QHSpace("big", comps, 1)
+        with pytest.raises(DensityOverflowError, match="non-finite Fourier coefficients"):
+            reconstruct_density(space, 0.5)
+        with pytest.raises(DensityOverflowError, match="non-finite Fourier coefficient at n = 0"):
+            fourier_coefficient(space, 0)
+
     @pytest.mark.parametrize("t", [5e-324, 1e-310])
     def test_subnormal_t_keeps_the_characters(self, t):
         # sines of exact phases, each rounded into the subnormal range, gave
@@ -572,7 +595,7 @@ class TestExactPhases:
 
 
 def loop_quarter_turns(x: Fraction, first: int, step: int, count: int) -> tuple[list, list, float]:
-    """`fourier._quarter_turns` by its definition, one divmod per k: the tests' reference."""
+    """One row of `fourier._turns` by its definition, one divmod per k: the tests' reference."""
     p, q = x.numerator, x.denominator
     quadrants, turns = [], []
     for i in range(count):

@@ -14,7 +14,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import su2dh.residue as residue_module
-from su2dh.expsum import bernoulli_values
 from su2dh.extrapolation import extrapolate_to_zero
 from su2dh.model import (
     VOL_T,
@@ -45,6 +44,7 @@ from su2dh.residue import (
 from su2dh.series import bose_kernel, exp_linear, from_coefficients, mul, residue, shift, sin_linear
 from su2dh.spaces import make_product_space, make_s4
 from conftest import (
+    bernoulli_fractions,
     interior_t_avoiding_walls,
     make_random_space,
     odd_real_components,
@@ -346,7 +346,7 @@ def fraction_branch(coefficients, weight: Fraction, sign: Fraction) -> tuple:
     from Fraction operations and rounded by float(Fraction)."""
     max_power = max(k for k, _ in coefficients)
     scaled = [(k, c * math.pi**k) for k, c in coefficients]
-    bernoulli = bernoulli_values(weight / 2, max_power - 2)
+    bernoulli = bernoulli_fractions(weight / 2, max_power - 2)
     coeffs = []
     for j in range(max_power // 2):
         acc = 0j
