@@ -22,7 +22,6 @@ from .fourier import (
     QuadratureError,
     QuadratureResult,
     QuadratureRule,
-    SummationError,
     SummationMethod,
     coefficient_quadrature,
     fourier_coefficient,
@@ -75,7 +74,6 @@ __all__ = [
     "RationalPoleFunction",
     "ScanPoint",
     "SpaceFormatError",
-    "SummationError",
     "SummationMethod",
     "VOL_G",
     "VOL_T",

@@ -29,8 +29,8 @@ this identity with gamma = pi*(t + mu) and gamma = pi*(mu - t), and
 `su2dh.residue` compiles its chamber polynomials from the same row of
 `bernoulli_ratios`.
 
-`RationalPoleFunction` evaluates sum_k a_k x^{-k} for the lemma.  A direct
-summation oracle is included.  It pairs m with -m, so the terms are
+`RationalPoleFunction` holds the coefficients a_k of f, read-only.  A
+direct summation oracle is included.  It pairs m with -m, so the terms are
 e^{i*m*gamma} f(m) + e^{-i*m*gamma} f(-m).  For k = 1 the series is only
 conditionally convergent, so the oracle supports Abel damping r^{|m|}, and
 `exp_sum_extrapolated` removes the damping bias by Richardson extrapolation
@@ -46,7 +46,8 @@ arithmetic:
 * Fold.  With f = E + O split into its even and odd orders, f(-m) = E - O,
   so a pair is 2*(cos(gamma*m)*E + i*sin(gamma*m)*O), the identity
   `fourier._fold` uses.  E and O are real Horner polynomials in 1/m^2 for
-  their real and imaginary parts; no complex power of 1/m and no f(-m) is
+  their real and imaginary parts, from the rows of `_parity_rows`, the split
+  `fourier._fold` reads too; no complex power of 1/m and no f(-m) is
   formed.
 * Phases.  e^{i*gamma*m} = e^{i*gamma*s} e^{i*gamma*j}, from one table of
   the 4096 in-block phases and one of the ceil(M/4096) block heads, combined
@@ -62,7 +63,9 @@ Each node's block parts are added by ``math.fsum`` and rounded once, so a
 node's value does not depend on the other radii of the call, and
 `exp_sum_extrapolated` is exactly `extrapolate_to_zero` of the nodes'
 `exp_sum_partial` values.  A sum that is not finite is refused with
-`ExpSumOverflowError`.
+`ExpSumOverflowError`.  `_fsum` and `_overflow` state this overflow rule for
+`residue` and `fourier` as well: a sum by ``math.fsum``, NaN where an
+intermediate overflows, and one message for a value that is not finite.
 
 numpy is imported inside the functions that build arrays, not at module
 level, because the residue path and the CLI must start without it.
@@ -75,9 +78,10 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import TYPE_CHECKING, Mapping
+from typing import TYPE_CHECKING, Iterable, Mapping
 
 from .extrapolation import abel_ladder, extrapolate_to_zero
+from .model import _ReadOnlyDict
 
 if TYPE_CHECKING:
     import numpy as np
@@ -105,7 +109,10 @@ class ExpSumOverflowError(ArithmeticError):
 
 @dataclass(frozen=True)
 class RationalPoleFunction:
-    """f(z) = sum_k a_k z^{-k} with every k >= 1; the input class of the identity."""
+    """f(z) = sum_k a_k z^{-k} with every k >= 1; the input class of the identity.
+
+    ``coeffs`` maps k to a_k, read-only, as `FixedComponent.euler_integral` is.
+    """
 
     coeffs: Mapping[int, complex]
 
@@ -120,30 +127,16 @@ class RationalPoleFunction:
             if not cmath.isfinite(a):
                 raise ValueError(f"pole coefficient of order {k} must be finite, got {a!r}")
             cleaned[k] = a
-        object.__setattr__(self, "coeffs", dict(sorted(cleaned.items())))
+        object.__setattr__(self, "coeffs", _ReadOnlyDict(sorted(cleaned.items())))
 
     @property
     def max_order(self) -> int:
         return max(self.coeffs)
 
-    def __call__(self, m):
-        """Evaluate at a scalar or numpy array of nonzero reals."""
-        import numpy as np
-
-        inv = np.divide(1.0, np.asarray(m, dtype=float))
-        power = np.ones_like(inv)
-        out = np.zeros(inv.shape, dtype=complex)
-        for k in range(1, self.max_order + 1):
-            power = power * inv
-            a = self.coeffs.get(k)
-            if a is not None:
-                out = out + a * power
-        return complex(out) if out.shape == () else out
-
 
 def _check_gamma(gamma: float) -> float:
     gamma = float(gamma)
-    if not (-_TWO_PI < gamma < _TWO_PI) or gamma == 0.0 or math.isnan(gamma):
+    if not (-_TWO_PI < gamma < _TWO_PI) or gamma == 0.0:
         raise GammaRangeError(
             f"gamma outside lemma range: {gamma!r} is not in (-2*pi, 0) or (0, 2*pi)"
         )
@@ -199,7 +192,9 @@ def exp_sum_residue(f: RationalPoleFunction, gamma: float) -> complex:
         -a * 1j ** (k % 4) * (pi_p**k * ratios[k][0] / (pi_q**k * ratios[k][1]))
         for k, a in coeffs.items()
     )
-    return _finite(value, "the residue value")
+    if not cmath.isfinite(value):
+        raise _overflow(ExpSumOverflowError, "the residue value")
+    return value
 
 
 def _split(x: float) -> tuple[float, float]:
@@ -257,6 +252,35 @@ def _poly(coefficients: tuple[float, ...], v, factor, empty=None, out=None):
     return total
 
 
+def _parity_rows(coeffs: Mapping[int, complex], first_odd: int) -> tuple[tuple[float, ...], ...]:
+    """Real and imaginary rows of the even orders 2, 4, ... and the odd orders first_odd, ....
+
+    The four rows, (even real, even imaginary, odd real, odd imaginary), run
+    up to the highest order, with 0 for an order that is missing; `_poly`
+    reads each as a polynomial in 1/z^2.  The oracle splits f itself, from
+    order 1; `fourier._fold` splits w*I_F(w), whose odd orders start at 3.
+    """
+    top = max(coeffs)
+    rows = []
+    for first in (2, first_odd):
+        values = [coeffs.get(k, 0j) for k in range(first, top + 1, 2)]
+        rows += tuple(a.real for a in values), tuple(a.imag for a in values)
+    return tuple(rows)
+
+
+def _fsum(values: Iterable[float]) -> float:
+    """math.fsum, or NaN where fsum raises: an intermediate overflow, or inf - inf."""
+    try:
+        return math.fsum(values)
+    except (OverflowError, ValueError):
+        return math.nan
+
+
+def _overflow(error: type[ArithmeticError], what: str) -> ArithmeticError:
+    """The ``error`` for a value that is not finite; built only once a check has failed."""
+    return error(f"numeric overflow: {what} is not finite")
+
+
 def _damped_sums(
     f: RationalPoleFunction, gamma: float, M: int, radii: list[float]
 ) -> list[complex]:
@@ -276,10 +300,7 @@ def _damped_sums(
 
     # f(z) = E + O with E = v*P(v) its even orders and O = u*Q(v) its odd
     # ones, u = 1/z and v = u^2; the pair m, -m gives 2*(cos*E + i*sin*O)
-    even = [f.coeffs.get(k, 0j) for k in range(2, f.max_order + 1, 2)]
-    odd = [f.coeffs.get(k, 0j) for k in range(1, f.max_order + 1, 2)]
-    even_re, even_im = tuple(a.real for a in even), tuple(a.imag for a in even)
-    odd_re, odd_im = tuple(a.real for a in odd), tuple(a.imag for a in odd)
+    even_re, even_im, odd_re, odd_im = _parity_rows(f.coeffs, 1)
     offsets = np.arange(1, min(M, _BLOCK) + 1, dtype=float)
     heads = np.arange(0, M, _BLOCK, dtype=float)
     log_r = np.log(np.array(radii, dtype=float))
@@ -308,18 +329,11 @@ def _damped_sums(
         for i, r in enumerate(radii):
             head = head_excess[i][:, None]
             parts = np.concatenate([undamped, (head + 1.0) * excess_sums[:, i], head * undamped])
-            try:
-                re, im = (2.0 * math.fsum(parts[:, c]) for c in (0, 1))
-            except (OverflowError, ValueError):  # an overflow on the way, or inf - inf
-                re = im = math.nan
-            sums.append(_finite(complex(re, im), f"the damped sum at r = {r!r}"))
+            value = complex(*(2.0 * _fsum(parts[:, c]) for c in (0, 1)))
+            if not cmath.isfinite(value):
+                raise _overflow(ExpSumOverflowError, f"the damped sum at r = {r!r}")
+            sums.append(value)
     return sums
-
-
-def _finite(value: complex, what: str) -> complex:
-    if not cmath.isfinite(value):
-        raise ExpSumOverflowError(f"numeric overflow: {what} is not finite")
-    return value
 
 
 def exp_sum_partial(
@@ -336,16 +350,17 @@ def exp_sum_extrapolated(
     gamma: float,
     M: int = 100_000,
     damping_r: float = 0.9999,
-    levels: int = 2,
 ) -> complex:
     """Abel value of the sum: damped partial sums extrapolated to r -> 1.
 
-    The nodes are the ladder ``abel_ladder(damping_r, levels)``, so the
-    least-damped node is the given ``damping_r`` and the truncation error of
-    every node is controlled by it.  The undamped terms are computed once
-    and each node only applies its damping.
+    The nodes are the three-node ladder ``abel_ladder(damping_r, 2)``, so
+    the least-damped node is the given ``damping_r`` and the truncation
+    error of every node is controlled by it.  The undamped terms are
+    computed once and each node only applies its damping.
     """
-    ladder = abel_ladder(damping_r, levels)
+    ladder = abel_ladder(damping_r, 2)
     sums = _damped_sums(f, gamma, M, [1.0 - h for h in ladder])
     value, _ = extrapolate_to_zero(list(zip(ladder, sums)))
-    return _finite(value, "the extrapolated sum")
+    if not cmath.isfinite(value):
+        raise _overflow(ExpSumOverflowError, "the extrapolated sum")
+    return value

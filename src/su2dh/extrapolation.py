@@ -48,6 +48,9 @@ def abel_ladder(damping_r: float, levels: int) -> list[float]:
         # checked per node, so a huge ``levels`` fails after at most ~54 nodes
         h = (1.0 - damping_r) * 2.0**j
         if h >= 1.0:
-            raise ValueError("extrapolation ladder leaves (0, 1); decrease levels")
+            # no remedy is named: `exp_sum_extrapolated` has no levels to decrease
+            raise ValueError(
+                f"extrapolation ladder leaves (0, 1): (1 - {damping_r!r}) * 2**{j} >= 1"
+            )
         ladder.append(h)
     return ladder

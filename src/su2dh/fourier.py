@@ -111,7 +111,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import TYPE_CHECKING, Callable, Sequence
 
-from .expsum import _poly
+from .expsum import _overflow, _parity_rows, _poly
 from .extrapolation import abel_ladder, extrapolate_to_zero
 from .model import VOL_G, VOL_T, FixedComponent, QHSpace, require_interior_alcove
 from .residue import DEFAULT_OPTIONS, DensityOverflowError, EvalOptions, NonRealDensityError
@@ -122,10 +122,6 @@ if TYPE_CHECKING:
 _RECONSTRUCTION_FACTOR = 2.0 * math.pi / VOL_T
 
 _KINDS = ("partial", "abel", "cesaro")
-
-
-class SummationError(ArithmeticError):
-    """Raised when a summation configuration fails its convergence check."""
 
 
 class QuadratureError(ArithmeticError):
@@ -237,7 +233,8 @@ def _fold(component: FixedComponent, u, v, cos, sin, real, imag, scratch) -> tup
     Here u = 1/w with w = n + 1, v = u^2 and cos + i*sin = e^{pi*i*mu*w}.
     Split w*I_F(w) = sum_k a_k u^{k-1} = E + O into the even orders,
     E = u * sum_j a_{2j+2} v^j, and the odd ones, O = v * sum_j a_{2j+3} v^j:
-    real polynomials in v for the real and the imaginary parts.  The Weyl
+    real polynomials in v for the real and the imaginary parts, the rows of
+    `expsum._parity_rows` with the odd orders from 3.  The Weyl
     partner adds w*I_F(-w) e^{-pi*i*mu*w}, and w*I_F(-w) = E - O, so a
     non-central pair gives 2*E*cos + 2i*O*sin, whose parts are twice
     Re E*cos + (-Im O)*sin and Im E*cos + Re O*sin.  A central component is
@@ -253,11 +250,7 @@ def _fold(component: FixedComponent, u, v, cos, sin, real, imag, scratch) -> tup
     """
     rows = component._compiled.get("fold")
     if rows is None:
-        coeffs, top = component.euler_integral, component.max_power
-        even = [coeffs.get(k, 0j) for k in range(2, top + 1, 2)]
-        odd = [coeffs.get(k, 0j) for k in range(3, top + 1, 2)]
-        even_re, even_im = tuple(a.real for a in even), tuple(a.imag for a in even)
-        odd_re, odd_im = tuple(a.real for a in odd), tuple(a.imag for a in odd)
+        even_re, even_im, odd_re, odd_im = _parity_rows(component.euler_integral, 3)
         if component.central:
             rows = (even_re, odd_re), (even_im, odd_im)
         else:
@@ -347,8 +340,7 @@ def _ladder(method: SummationMethod) -> tuple[tuple[float, np.ndarray | float], 
 
     The pairs are the extrapolation node h and the damping of term n less
     1, which is what `reconstruct_density` sums against.  A single pair
-    extrapolates to itself, with a NaN correction that never trips the
-    tolerance check.
+    extrapolates to itself.
     """
     import numpy as np
 
@@ -398,7 +390,6 @@ def reconstruct_density(
     space: QHSpace,
     t: float,
     method: SummationMethod = SummationMethod(),
-    convergence_tol: float | None = None,
     options: EvalOptions = DEFAULT_OPTIONS,
 ) -> float:
     """Sum the character series for the density at exp(t*rho), 0 < t < 1.
@@ -411,10 +402,6 @@ def reconstruct_density(
     :class:`NonRealDensityError` is raised above it.  The characters come
     from the sines of `_phases` at ``Fraction(t)``, or at a t so small that
     they round to n + 1, are n + 1; the sums are real.
-
-    With ``convergence_tol`` set, Abel extrapolation raises
-    :class:`SummationError` when the last two Richardson levels disagree by
-    more than ten times the target tolerance.
     """
     import numpy as np
 
@@ -449,15 +436,10 @@ def reconstruct_density(
         for h, excess in _ladder(method):
             np.multiply(base_terms, excess, out=scratch)
             samples.append((h, _RECONSTRUCTION_FACTOR * float(np.add.reduce(scratch))))
-    change, last_change = extrapolate_to_zero(samples)
+    change, _ = extrapolate_to_zero(samples)
     value = undamped + change.real
     if not math.isfinite(value):
-        raise DensityOverflowError(f"numeric overflow: Fourier density at t = {t} is not finite")
-    if convergence_tol is not None and last_change > 10.0 * convergence_tol:
-        raise SummationError(
-            f"Abel/Richardson levels disagree by {last_change:.3e}, "
-            f"more than 10x the target tolerance {convergence_tol:.3e}"
-        )
+        raise _overflow(DensityOverflowError, f"Fourier density at t = {t}")
     return value
 
 

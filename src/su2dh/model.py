@@ -60,7 +60,7 @@ VOL_G = VOL_T / (2.0 * math.pi)
 
 def require_interior_alcove(t: float) -> float:
     t = float(t)
-    if not (0.0 < t < 1.0) or math.isnan(t):
+    if not (0.0 < t < 1.0):
         raise AlcoveRangeError(f"t out of open alcove: t = {t!r} is not in (0, 1)")
     return t
 
@@ -70,14 +70,14 @@ _EXPONENT = re.compile(r"[eE]([-+]?\d+(?:_\d+)*)\s*\Z")
 
 
 class _ReadOnlyDict(dict):
-    """A dict whose mutators raise TypeError.
+    """A dict whose mutators raise TypeError, for read-only coefficients.
 
     Unlike a mappingproxy, it can be read by `dataclasses.asdict`, pickled
     and copied.
     """
 
     def _refuse(self, *args, **kwargs):
-        raise TypeError("Euler integral coefficients are read-only")
+        raise TypeError("coefficients are read-only")
 
     __setitem__ = __delitem__ = __ior__ = _refuse
     clear = pop = popitem = setdefault = update = _refuse

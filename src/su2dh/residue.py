@@ -88,7 +88,7 @@ from .model import (
     QHSpace,
     require_interior_alcove,
 )
-from .expsum import bernoulli_ratios
+from .expsum import _fsum, _overflow, bernoulli_ratios
 
 
 class WallError(ArithmeticError):
@@ -238,18 +238,6 @@ def _table(
     return compiled, largest
 
 
-def _fsum(values: Iterable[float]) -> float:
-    """math.fsum, or NaN where fsum raises: an intermediate overflow, or inf - inf."""
-    try:
-        return math.fsum(values)
-    except (OverflowError, ValueError):
-        return math.nan
-
-
-def _overflow(what: str) -> DensityOverflowError:
-    return DensityOverflowError(f"numeric overflow: {what} is not finite")
-
-
 def _select_branch(label: str, mu: float, t: float, options: EvalOptions) -> str:
     if 0.0 < mu < 1.0 and t == mu:
         if options.wall_policy is WallPolicy.ERROR:
@@ -272,7 +260,7 @@ def _evaluate(
     }
     total = _fsum(per_component.values())
     if not math.isfinite(total):
-        raise _overflow(f"density at t = {t}")
+        raise _overflow(DensityOverflowError, f"density at t = {t}")
     return DensityResult(t, total, per_component, residual)
 
 
@@ -297,7 +285,7 @@ def _central(
     compiled, _ = _table(owner, branch, options)
     total = _fsum([getattr(poly, branch)[0] / math.pi for _, poly in compiled])
     if not math.isfinite(total):
-        raise _overflow(f"density at {which.value}")
+        raise _overflow(DensityOverflowError, f"density at {which.value}")
     return total
 
 
@@ -324,7 +312,7 @@ def interior_volume(space: QHSpace, t: float, density_value: float) -> float:
     """Reduced volume k * (2*sin(pi*t)/sqrt(2)) * density at an interior t."""
     volume = space.stabilizer_order * (2.0 * math.sin(math.pi * t) / VOL_T) * density_value
     if not math.isfinite(volume):
-        raise _overflow(f"volume at t = {t}")
+        raise _overflow(DensityOverflowError, f"volume at t = {t}")
     return volume
 
 
@@ -336,7 +324,7 @@ def reduced_volume(
         density_value = central_density(space, at, options)
         volume = space.stabilizer_order * (2.0 * math.pi / VOL_T) * density_value
         if not math.isfinite(volume):
-            raise _overflow(f"volume at {at.value}")
+            raise _overflow(DensityOverflowError, f"volume at {at.value}")
         return volume
     result = density(space, at, options)
     return interior_volume(space, result.t, result.total)

@@ -573,6 +573,26 @@ class TestParser:
         proc = run_cli(*args, expect=2)
         assert proc.stdout == "" and f"error: {flag}: " in proc.stderr
 
+    def test_lemma_ladder_refusal_names_no_levels(self):
+        # lemma has no levels flag, so the message may not advise a levels change
+        proc = run_cli("lemma", "--coeff", "2:1", "--gamma", "1", "--r", "0.6", expect=2)
+        ladder = "extrapolation ladder leaves (0, 1): (1 - 0.6) * 2**2 >= 1"
+        assert proc.stderr == f"error: --r: {ladder}\n"
+        assert "levels" not in proc.stderr
+
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            (("eval", "--builtin", "s4", "--t", "nan"),
+             "t out of open alcove: t = nan is not in (0, 1)"),
+            (("lemma", "--coeff", "2:1", "--gamma", "nan"),
+             "gamma outside lemma range: nan is not in (-2*pi, 0) or (0, 2*pi)"),
+        ],
+    )
+    def test_nan_is_refused(self, args, message):
+        proc = run_cli(*args, expect=2)
+        assert proc.stdout == "" and proc.stderr == f"error: {message}\n"
+
 
 class TestGolden:
     """Byte-for-byte stdout of fixed commands; any changed digit must be deliberate."""

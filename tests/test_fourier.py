@@ -194,16 +194,6 @@ class TestReconstruction:
         assert SummationMethod().abel_r == tuple(1.0 - h for h in abel_ladder(0.999, 2))
         assert SummationMethod().abel_r == pytest.approx((0.999, 0.998, 0.996), abs=1e-15)
 
-    def test_single_sample_never_trips_the_tolerance(self):
-        # one sample extrapolates to itself with a NaN correction
-        for method in (
-            SummationMethod(kind="partial", terms=2000),
-            SummationMethod(kind="cesaro", terms=2000),
-            SummationMethod(kind="abel", terms=2000, abel_r=(0.9,)),
-        ):
-            value = reconstruct_density(make_s4(), 0.5, method, convergence_tol=1e-18)
-            assert value == reconstruct_density(make_s4(), 0.5, method)
-
     def test_abel_at_a_wall_is_the_midpoint_of_the_limits(self):
         # the character series of a jump converges to the mean of its two
         # sides; walled.json at t = 1/2: 3.23849 against 3.23930, jump 6.98
@@ -221,14 +211,6 @@ class TestReconstruction:
         value = reconstruct_density(space, 0.5, SummationMethod())
         assert abs(value - (left + right) / 2) <= 1e-3 * abs(right - left)
         assert abs(right - left) > 6.0
-
-    def test_divergent_richardson_levels_are_flagged(self):
-        # an implausibly tight target makes the level disagreement visible
-        from su2dh.fourier import SummationError
-
-        method = SummationMethod(kind="abel", terms=2000, abel_r=(0.9, 0.8, 0.6))
-        with pytest.raises(SummationError, match="disagree"):
-            reconstruct_density(make_s4(), 0.5, method, convergence_tol=1e-18)
 
     def test_non_real_data_are_refused(self):
         # a real odd power makes the data non-real at any scale; the
