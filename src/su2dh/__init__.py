@@ -47,8 +47,6 @@ from .residue import (
     WallError,
     WallPolicy,
     central_density,
-    component_central_density,
-    component_density,
     density,
     reduced_volume,
     scan,
@@ -82,8 +80,6 @@ __all__ = [
     "builtin_space",
     "central_density",
     "coefficient_quadrature",
-    "component_central_density",
-    "component_density",
     "density",
     "exp_sum_extrapolated",
     "exp_sum_partial",

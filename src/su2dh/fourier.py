@@ -416,21 +416,22 @@ def reconstruct_density(
             f"non-real density (check input data): space {space.name!r} has Fourier "
             f"coefficients with relative imaginary residual {residual:.3e}"
         )
-    if (math.pi * t * method.terms) ** 2 < 2.0**-53:
-        # chi_n(t) = (n+1) * (1 - O((pi*(n+1)*t)^2)) rounds to n + 1.  This also keeps a
-        # subnormal t exact, whose sines below would be rounded one by one.
-        base_terms = coefficients * np.arange(1.0, method.terms + 1)
-    else:
-        # chi_n(t) = sin(pi*(n+1)*t) / sin(pi*t), and sin(pi*t) is the first sine; the
-        # table is this call's own, so the terms are built in it
-        (base_terms,) = _phases(Fraction(t), method.terms, sine_only=True)
-        base_terms /= base_terms[0]
-        base_terms *= coefficients
-    scratch = np.empty_like(base_terms)
-    # Each damping is 1 - O(n) near n = 0, so the undamped sum is split off: the large
-    # early terms enter it alone, not every node's sum, whose rounding Richardson's
-    # weights amplify.  The Neville step maps the constant undamped part to itself.
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow is judged below
+        if (math.pi * t * method.terms) ** 2 < 2.0**-53:
+            # chi_n(t) = (n+1) * (1 - O((pi*(n+1)*t)^2)) rounds to n + 1.  This also keeps
+            # a subnormal t exact, whose sines below would be rounded one by one.
+            base_terms = coefficients * np.arange(1.0, method.terms + 1)
+        else:
+            # chi_n(t) = sin(pi*(n+1)*t) / sin(pi*t), and sin(pi*t) is the first sine;
+            # the table is this call's own, so the terms are built in it
+            (base_terms,) = _phases(Fraction(t), method.terms, sine_only=True)
+            base_terms /= base_terms[0]
+            base_terms *= coefficients
+        scratch = np.empty_like(base_terms)
+        # Each damping is 1 - O(n) near n = 0, so the undamped sum is split off: the
+        # large early terms enter it alone, not every node's sum, whose rounding
+        # Richardson's weights amplify.  The Neville step maps the constant undamped
+        # part to itself.
         undamped = _RECONSTRUCTION_FACTOR * float(np.add.reduce(base_terms))
         samples = []
         for h, excess in _ladder(method):

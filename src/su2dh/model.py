@@ -23,10 +23,10 @@ mu_F is held as an exact rational.  Whether a component is *central*
 factor 1/2 in every downstream formula, so it must never depend on a floating
 tolerance.
 
-Compiled data live on the object they are computed from: `residue` and
-`fourier` store a component's chamber branches, one-row tables and Fourier
-fold polynomials, and a space's tables and Fourier coefficients, in its
-private `_compiled` dict.
+Compiled data live on the object they are computed from, in its private
+`_compiled` dict: a component keeps what is compiled from it alone, its
+chamber branches (`residue`) and Fourier fold polynomials (`fourier`), and a
+space keeps its residue tables and Fourier coefficients.
 It is an attribute set in `__post_init__`, not a dataclass field, so
 equality, `repr`, `dataclasses.asdict` and the space file ignore it.  Copies
 start without it, and no cache is keyed by content.  This is sound because
@@ -101,7 +101,7 @@ class FixedComponent:
     euler_integral: Mapping[int, complex]
 
     def __post_init__(self) -> None:
-        # compiled branches and tables that `residue` stores on first use; not a field
+        # branches and folds that `residue` and `fourier` store on first use; not a field
         object.__setattr__(self, "_compiled", {})
         if not isinstance(self.label, str) or not self.label:
             raise SpaceFormatError("component label must be a nonempty string")

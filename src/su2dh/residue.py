@@ -58,17 +58,18 @@ arithmetic.  A coefficient, density or volume that overflows raises
 `DensityOverflowError`.
 
 Tables.  Compiled data live on the object they come from and die with it
-(see `model`).  Each `QHSpace` object, and each `FixedComponent` object that
-the `component_*` functions see, stores one table per reach: "interior" for
-interior points, "below" for the values at +e and "above" for those at -e.
-A table holds its components' compiled branches (one row for a component)
-and the largest residual of the branches that reach allows, judged from the
-exact mu, so a warm call only compares that residual with its own
+(see `model`).  Each `QHSpace` object stores one table per reach: "interior"
+for interior points, "below" for the values at +e and "above" for those at
+-e.  A table holds its components' compiled branches, one row each, and the
+largest residual of the branches that reach allows, judged from the exact
+mu, so a warm call only compares that residual with its own
 `EvalOptions.imag_tolerance`.  The verdict is not stored, because the
 tolerance belongs to the call.  A cold call, or one whose tolerance the
 residual fails, runs one loop that builds and judges the rows in order, so
 the first component at fault raises with the message that names it and its
-branch; a table is stored once every row has passed.
+branch; a table is stored once every row has passed.  A component's
+contribution is its row, which `density` returns in
+`DensityResult.per_component`.
 """
 
 from __future__ import annotations
@@ -210,15 +211,15 @@ def _compile(component: FixedComponent) -> _BranchPolynomials:
 
 
 def _table(
-    owner: QHSpace | FixedComponent, reach: str, options: EvalOptions
+    space: QHSpace, reach: str, options: EvalOptions
 ) -> tuple[list[tuple[str, _BranchPolynomials]], float]:
-    """The owner's table for ``reach`` (see the module docstring), judged on every call."""
-    table = owner._compiled.get(reach)
+    """The space's table for ``reach`` (see the module docstring), judged on every call."""
+    table = space._compiled.get(reach)
     if table is not None and table[1] <= options.imag_tolerance:
         return table
     # cold, or over the tolerance: then some row raises, and the stored table is kept
     compiled, largest = [], 0.0
-    for comp in owner.components if isinstance(owner, QHSpace) else (owner,):
+    for comp in space.components:
         poly = _compile(comp)
         branch = poly.interior if reach == "interior" else reach
         residual = poly.residual[branch]
@@ -234,7 +235,7 @@ def _table(
             )
         compiled.append((comp.label, poly))
         largest = max(largest, residual)
-    owner._compiled[reach] = compiled, largest
+    space._compiled[reach] = compiled, largest
     return compiled, largest
 
 
@@ -264,48 +265,27 @@ def _evaluate(
     return DensityResult(t, total, per_component, residual)
 
 
-def component_density(
-    component: FixedComponent, t: float, options: EvalOptions = DEFAULT_OPTIONS
-) -> float:
-    """Contribution of one component to the density at exp(t*rho), 0 < t < 1."""
-    result = _evaluate(*_table(component, "interior", options), t, options)
-    return result.per_component[component.label]
-
-
 def density(space: QHSpace, t: float, options: EvalOptions = DEFAULT_OPTIONS) -> DensityResult:
     """Density at exp(t*rho): sum of the per-component contributions."""
     return _evaluate(*_table(space, "interior", options), t, options)
 
 
-def _central(
-    owner: QHSpace | FixedComponent, which: CentralElement, options: EvalOptions
+def central_density(
+    space: QHSpace, which: CentralElement, options: EvalOptions = DEFAULT_OPTIONS
 ) -> float:
-    """The owner's density at ``which``: its rows' linear coefficients on that branch, over pi."""
+    """Density at +e or -e: the rows' linear coefficients on that branch, over pi.
+
+    Valid only when the central element is a regular value of the moment
+    map, which the caller asserts.  Localization data refute this hypothesis
+    when a component sits at the element (mu = 0 at +e, mu = 1 at -e), but
+    cannot confirm it.
+    """
     branch = "below" if which is CentralElement.IDENTITY else "above"
-    compiled, _ = _table(owner, branch, options)
+    compiled, _ = _table(space, branch, options)
     total = _fsum([getattr(poly, branch)[0] / math.pi for _, poly in compiled])
     if not math.isfinite(total):
         raise _overflow(DensityOverflowError, f"density at {which.value}")
     return total
-
-
-def component_central_density(
-    component: FixedComponent, which: CentralElement, options: EvalOptions = DEFAULT_OPTIONS
-) -> float:
-    """One component's contribution to the density at a central element.
-
-    Valid only when the central element is a regular value of the moment
-    map.  Localization data refute this hypothesis when a component sits at
-    the element (mu = 0 at +e, mu = 1 at -e), but cannot confirm it.
-    """
-    return _central(component, which, options)
-
-
-def central_density(
-    space: QHSpace, which: CentralElement, options: EvalOptions = DEFAULT_OPTIONS
-) -> float:
-    """Density at the central element +e or -e (caller asserts regularity)."""
-    return _central(space, which, options)
 
 
 def interior_volume(space: QHSpace, t: float, density_value: float) -> float:

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 import su2dh
 from su2dh.model import VOL_T, FixedComponent, QHSpace, require_interior_alcove
+from su2dh.residue import DEFAULT_OPTIONS, CentralElement, EvalOptions, central_density, density
 from su2dh.series import bose_kernel, exp_linear, mul, sin_linear
 
 PACKAGE = Path(su2dh.__file__).resolve().parent
@@ -42,6 +43,20 @@ def make_random_component(rng: random.Random, label: str) -> FixedComponent:
             for k in powers
         }
     return FixedComponent(label, mu, coeffs)
+
+
+def component_density(
+    component: FixedComponent, t: float, options: EvalOptions = DEFAULT_OPTIONS
+) -> float:
+    """One component's density contribution at exp(t*rho): its row in a one-component space."""
+    return density(QHSpace("one", (component,), 1), t, options).per_component[component.label]
+
+
+def component_central_density(
+    component: FixedComponent, which: CentralElement, options: EvalOptions = DEFAULT_OPTIONS
+) -> float:
+    """One component's density contribution at a central element, as `component_density`."""
+    return central_density(QHSpace("one", (component,), 1), which, options)
 
 
 def make_random_space(rng: random.Random, n_components: int | None = None) -> QHSpace:

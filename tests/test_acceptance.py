@@ -13,7 +13,7 @@ from su2dh.expsum import RationalPoleFunction, exp_sum_extrapolated, exp_sum_res
 from su2dh.extrapolation import extrapolate_to_zero
 from su2dh.fourier import SummationMethod, coefficient_quadrature, fourier_coefficient, reconstruct_density
 from su2dh.model import FixedComponent
-from su2dh.residue import CentralElement, central_density, component_density, density, reduced_volume
+from su2dh.residue import CentralElement, central_density, density, reduced_volume
 from su2dh.series import (
     TruncSeries,
     add,
@@ -25,7 +25,7 @@ from su2dh.series import (
     shift,
 )
 from su2dh.spaces import make_product_space, make_s4
-from conftest import product_closed_form, witten_volume_n1
+from conftest import component_density, product_closed_form, witten_volume_n1
 
 SQRT2 = math.sqrt(2.0)
 GRID = [i / 20 for i in range(1, 20)]

@@ -322,6 +322,16 @@ class TestEval:
         assert proc.stdout == "" and "error: numeric overflow" in proc.stderr
         assert "Warning" not in proc.stderr
 
+    def test_overflowing_fourier_terms_print_only_the_refusal(self):
+        # numpy's overflow warning, with a source path, came before the refusal
+        big = QHSpace("big", (FixedComponent("a", Fraction(1, 2), {2: 1e308}),), 1)
+        proc = run_cli(
+            "eval", "--space", "/dev/stdin", "--t", "1e-9", "--mode", "fourier", expect=3,
+            input=save_space(big),
+        )
+        assert proc.stdout == ""
+        assert proc.stderr == "error: numeric overflow: Fourier density at t = 1e-09 is not finite\n"
+
     @pytest.mark.parametrize(
         "command, label",
         [

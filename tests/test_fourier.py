@@ -4,6 +4,7 @@ import gc
 import hashlib
 import math
 import random
+import warnings
 import weakref
 
 import mpmath
@@ -230,6 +231,17 @@ class TestReconstruction:
             with pytest.raises(DensityOverflowError, match=f"numeric overflow: .*{match}"):
                 reconstruct_density(QHSpace("big", comps, 1), 0.5)
         assert not recwarn.list
+
+    @pytest.mark.parametrize("t", [1e-9, 1e-13])
+    def test_overflowing_terms_raise_no_warning(self, t):
+        # the coefficients times the characters overflowed outside the errstate
+        # block, so numpy's RuntimeWarning came before the refusal
+        big = QHSpace("big", (FixedComponent("a", Fraction(1, 2), {2: 1e308}),), 1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DensityOverflowError) as info:
+                reconstruct_density(big, t)
+        assert str(info.value) == f"numeric overflow: Fourier density at t = {t} is not finite"
 
     @settings(max_examples=300, deadline=None)
     @given(st.integers(0, 2**32 - 1).map(random.Random))

@@ -1,8 +1,8 @@
 """Layering: no library module imports the Laurent-series engine, which is
 the tests' reference, the library imports only the standard library and
 numpy, numpy stays off the residue path's start-up, only small frozen
-configurations key a functools cache, and the test extras cover what the
-tests import."""
+configurations key a functools cache, the test extras cover what the tests
+import, and the package exports exactly the public names it imports."""
 
 import ast
 import re
@@ -11,6 +11,7 @@ from pathlib import Path
 
 import pytest
 
+import su2dh
 from conftest import PACKAGE, run_child
 
 
@@ -82,6 +83,21 @@ def test_the_import_guard_sees_each_spelling(tmp_path):
         module = tmp_path / f"m{i}.py"
         module.write_text(text + "\n", encoding="utf-8")
         assert imported_roots(module) == expected, text
+
+
+def test_the_export_list_is_what_the_package_imports():
+    # `__version__` is package metadata, not an export
+    exported = su2dh.__all__
+    assert all(hasattr(su2dh, name) for name in exported)
+    assert len(set(exported)) == len(exported)
+    tree = ast.parse((PACKAGE / "__init__.py").read_text(encoding="utf-8"))
+    imported = {
+        alias.asname or alias.name
+        for node in tree.body
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    }
+    assert set(exported) == {name for name in imported if not name.startswith("_")}
 
 
 def test_the_test_extras_cover_what_the_tests_import():

@@ -34,8 +34,6 @@ from su2dh.residue import (
     WallPolicy,
     _compile,
     central_density,
-    component_central_density,
-    component_density,
     density,
     interior_volume,
     reduced_volume,
@@ -45,6 +43,8 @@ from su2dh.series import bose_kernel, exp_linear, from_coefficients, mul, residu
 from su2dh.spaces import make_product_space, make_s4
 from conftest import (
     bernoulli_fractions,
+    component_central_density,
+    component_density,
     interior_t_avoiding_walls,
     make_random_space,
     odd_real_components,
@@ -583,33 +583,6 @@ class TestInteriorTable:
             values(space)
             warm = values(space)
             assert warm == values(load_space(save_space(space)))
-
-    def test_component_keeps_a_table_per_reach(self, monkeypatch):
-        # component_* calls judge one-row tables stored on the component, not
-        # a fresh compile per call
-        compiles = []
-        compile_component = residue_module._compile
-
-        def counting(comp):
-            compiles.append(comp)
-            return compile_component(comp)
-
-        monkeypatch.setattr(residue_module, "_compile", counting)
-        comp = FixedComponent("c", Fraction(3, 10), {2: 1.0, 3: 0.5j, 4: -0.25})
-        for _ in range(100):
-            component_density(comp, 0.37)
-            for which in CentralElement:
-                component_central_density(comp, which)
-        assert sorted(comp._compiled) == ["above", "below", "branches", "interior"]
-        assert len(compiles) == 3  # one per table, each of one row
-        tables = dict(comp._compiled)
-        for i in range(100):
-            component_density(comp, (i + 0.5) / 100, EvalOptions(wall_policy=WallPolicy.LEFT_LIMIT))
-            for which in CentralElement:
-                component_central_density(comp, which)
-        assert len(compiles) == 3
-        assert all(comp._compiled[key] is tables[key] for key in tables)
-        assert comp._compiled["interior"] == ([("c", _compile(comp))], 0.0)
 
     def test_reach_is_judged_from_the_exact_mu(self):
         # mu = 1e-400 is 0.0 as a float, yet the component is not central, so
