@@ -540,6 +540,8 @@ class TestInteriorTable:
             central_density(space, which)
             reduced_volume(space, which)
         assert all(space._compiled[reach] is tables[reach] for reach in tables)
+        # a component keeps only its own branches; every table is the space's
+        assert all(list(comp._compiled) == ["branches"] for comp in space.components)
 
     def test_equal_objects_compile_their_own_data(self, rng):
         text = save_space(make_random_space(rng, n_components=3))
