@@ -55,9 +55,11 @@ arithmetic:
   gamma (`_split`, `_phase_table`), so no phase carries the error of a
   rounded angle, 0.5 ulp(gamma*m), or 5.8e-11 rad at m = 1e5 near 2*pi.
 * Damping.  r^m = r^s r^j, so with U the sum of a block's terms and X that of
-  its terms times r^j - 1, from one expm1 table of 4096 per radius, the
-  block adds U + r^s*X + (r^s - 1)*U to a node.  U and X are numpy's pairwise
-  sums along contiguous rows.
+  its terms times r^j - 1, from one expm1 row of 4096 per radius, the
+  block adds U + r^s*X + (r^s - 1)*U to a node.  U is numpy's pairwise sum
+  along a contiguous row, since it carries the large early terms; X is one
+  BLAS product of the block's two rows with the radius's expm1 row, one
+  product per radius.
 
 Each node's block parts are added by ``math.fsum`` and rounded once, so a
 node's value does not depend on the other radii of the call, and
@@ -290,7 +292,9 @@ def _damped_sums(
     ``_BLOCK`` and j = 1..``_BLOCK`` (see the module docstring).  Each radius
     sums a block as U + r^s*X + (r^s - 1)*U, with U the sum of the block's
     undamped terms and X that of its terms times r^j - 1, and each node's
-    block parts are added by ``math.fsum`` and rounded once.
+    block parts are added by ``math.fsum`` and rounded once.  X is one
+    product of the block's rows with the radius's own ``expm1`` row, never
+    one product for all radii, so a node's bits do not depend on the others.
     """
     if not isinstance(M, int) or isinstance(M, bool) or M < 1:
         raise ValueError("M must be an integer >= 1")
@@ -304,7 +308,7 @@ def _damped_sums(
     offsets = np.arange(1, min(M, _BLOCK) + 1, dtype=float)
     heads = np.arange(0, M, _BLOCK, dtype=float)
     log_r = np.log(np.array(radii, dtype=float))
-    excess = np.expm1(np.multiply.outer(log_r, offsets))[:, None, :]
+    excess = np.expm1(np.multiply.outer(log_r, offsets))
     head_excess = np.expm1(np.multiply.outer(log_r, heads))
     undamped = np.empty((len(heads), 2))
     excess_sums = np.empty((len(heads), len(radii), 2))
@@ -324,7 +328,8 @@ def _damped_sums(
             np.subtract(_poly(even_re, v, cos_v, 0.0), _poly(odd_im, v, sin_u, 0.0), out=half[0])
             np.add(_poly(even_im, v, cos_v, 0.0), _poly(odd_re, v, sin_u, 0.0), out=half[1])
             np.sum(half, axis=-1, out=undamped[b])
-            np.sum(excess[..., :n] * half, axis=-1, out=excess_sums[b])
+            for i in range(len(radii)):
+                np.matmul(half, excess[i, :n], out=excess_sums[b, i])
         sums = []
         for i, r in enumerate(radii):
             head = head_excess[i][:, None]

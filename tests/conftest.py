@@ -104,9 +104,12 @@ def odd_real_components(draw) -> FixedComponent:
     return FixedComponent("c", mu, coeffs)
 
 
-def run_child(script: str, *args: str) -> str:
-    """Standard output of a fresh interpreter that runs the script on the arguments."""
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+def run_child(script: str, *args: str, env: dict[str, str] | None = None) -> str:
+    """Standard output of a fresh interpreter that runs the script on the arguments.
+
+    ``env`` adds variables to the child's environment.
+    """
+    env = dict(os.environ, **(env or {}), PYTHONPATH=os.pathsep.join(
         p for p in (str(PACKAGE.parent), os.environ.get("PYTHONPATH")) if p
     ))
     proc = subprocess.run(

@@ -19,7 +19,7 @@ from su2dh.expsum import (
 )
 from su2dh.extrapolation import abel_ladder, extrapolate_to_zero
 from su2dh.series import add, bose_kernel, exp_linear, monomial, mul, reciprocal, scale
-from conftest import bernoulli_fractions, exp_sum_reference
+from conftest import bernoulli_fractions, exp_sum_reference, minor_faults, run_child
 
 TWO_PI = 2.0 * math.pi
 BLOCK = expsum._BLOCK
@@ -310,6 +310,15 @@ class TestPartialSums:
         )
         assert value == pytest.approx(1j * math.pi / 2, abs=1e-3)
 
+    def test_exact_terms_give_exact_sums(self):
+        # f = 1/z^2 at gamma = pi: the pairs 2*cos(pi*m)/m^2 are -2 and 1/2 at
+        # m = 1, 2, so every term and sum is a float; a last-bit change in a
+        # block's undamped sum U shows here, and not within the 1e-14 of
+        # TestOracleSameSums or the digits of the lemma golden
+        f = RationalPoleFunction({2: 1.0})
+        assert exp_sum_partial(f, math.pi, 1) == -2.0
+        assert exp_sum_partial(f, math.pi, 2) == -1.5
+
     def test_validation(self):
         f = RationalPoleFunction({1: 1.0})
         with pytest.raises(ValueError):
@@ -449,12 +458,85 @@ class TestAbelLadder:
         # one shared evaluation of the undamped terms gives the same bits as
         # one damped partial sum per node; M = 40_000 is past the size where
         # numpy may reuse temporaries in place; the ladder always has three nodes
-        for gamma, M, r in ((1.3, 7, 0.9), (-2.1, 5000, 0.999), (4.0, 40_000, 0.9999)):
+        # M = 100,000 at r = 0.9999 is the benchmark's size, and 3*4096 + 1
+        # leaves one term in the last block
+        for gamma, M, r in (
+            (1.3, 7, 0.9),
+            (-2.1, 5000, 0.999),
+            (4.0, 40_000, 0.9999),
+            (-5.2, 100_000, 0.9999),
+            (2.7, 3 * BLOCK + 1, 0.999),
+        ):
             ks = rng.sample([1, 2, 3, 4, 5], k=rng.randint(1, 3))
             coeffs = {k: complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for k in ks}
             f = RationalPoleFunction(coeffs)
             samples = [(h, exp_sum_partial(f, gamma, M, 1 - h)) for h in abel_ladder(r, 2)]
             assert exp_sum_extrapolated(f, gamma, M, r) == extrapolate_to_zero(samples)[0]
+
+
+def repeated_oracle_calls(instances):
+    """Oracle calls at M = 100,000: warms up on five instances, returns the rest's work.
+
+    Each instance is the coefficients of f and gamma.  `minor_faults` runs
+    this in a fresh interpreter, so it imports what it uses.
+    """
+    from su2dh.expsum import RationalPoleFunction, exp_sum_extrapolated
+
+    calls = [(RationalPoleFunction(coeffs), gamma) for coeffs, gamma in instances]
+
+    def run(chunk):
+        for f, gamma in chunk:
+            exp_sum_extrapolated(f, gamma, M=100_000)
+
+    run(calls[:5])
+    return lambda: run(calls[5:])
+
+
+# Prints the bits of the three node sums and of the extrapolated value for
+# a few instances, from the seed in argv[1].
+_NODE_BITS = """
+import random, sys
+from su2dh import expsum
+from su2dh.expsum import RationalPoleFunction, exp_sum_extrapolated
+from su2dh.extrapolation import abel_ladder
+
+rand = random.Random(int(sys.argv[1]))
+for M, r in ((100_000, 0.9999), (3 * expsum._BLOCK + 1, 0.999), (5000, 0.99)):
+    ks = rand.sample([1, 2, 3, 4, 5], k=rand.randint(1, 3))
+    f = RationalPoleFunction(
+        {k: complex(rand.uniform(-1, 1), rand.uniform(-1, 1)) for k in ks}
+    )
+    gamma = rand.choice([1, -1]) * rand.uniform(0.1, 6.1)
+    radii = [1.0 - h for h in abel_ladder(r, 2)]
+    values = [*expsum._damped_sums(f, gamma, M, radii), exp_sum_extrapolated(f, gamma, M, r)]
+    print(*(x.hex() for z in values for x in (z.real, z.imag)))
+"""
+
+
+class TestAllocation:
+    """What one oracle call allocates, and the bits of its BLAS products."""
+
+    def test_repeated_calls_do_not_refault_the_heap(self):
+        # glibc trims the heap top that a call frees, and the next call faults
+        # it back in.  A 196 KB temporary per block for the excess sums took
+        # this to 168 minor faults per call; with one product per radius it
+        # is about 120, the call's own tables and block temporaries
+        rand = random.Random(2031)
+        items = []
+        for _ in range(40):
+            ks = rand.sample([1, 2, 3, 4, 5], k=rand.randint(1, 5))
+            coeffs = {k: complex(rand.uniform(-1, 1), rand.uniform(-1, 1)) for k in ks}
+            items.append((coeffs, rand.choice([1, -1]) * rand.uniform(0.1, TWO_PI - 0.1)))
+        assert minor_faults(repeated_oracle_calls, items) <= 144 * 35
+
+    def test_node_bits_do_not_depend_on_blas_threads(self):
+        # each radius's excess sum is one BLAS product; one and two OpenBLAS
+        # threads must give the same bits
+        for seed in ("7", "8"):
+            one = run_child(_NODE_BITS, seed, env={"OPENBLAS_NUM_THREADS": "1"})
+            two = run_child(_NODE_BITS, seed, env={"OPENBLAS_NUM_THREADS": "2"})
+            assert one.split("\n") == two.split("\n")
+            assert len(one.split()) == 3 * 8
 
 
 class TestOracleAgreement:
