@@ -146,6 +146,8 @@ def _load_selected_space(args: argparse.Namespace):
         raise SpaceFormatError(
             f"--space: cannot read {args.space!r}: {exc.strerror or exc}"
         ) from exc
+    except UnicodeDecodeError as exc:  # space files are UTF-8
+        raise SpaceFormatError(f"malformed space file: not valid JSON: {exc}") from exc
     return load_space(text)
 
 
@@ -236,8 +238,10 @@ def _cmd_eval(args: argparse.Namespace) -> int:
         raise SpaceFormatError("--richardson must be >= 0")
     if args.terms > _MAX_GRID_POINTS:
         raise SpaceFormatError(f"--terms must be at most {_MAX_GRID_POINTS}, got {args.terms}")
-    # the ladder leaves (0, 1) when --richardson is too large for --abel
-    ladder = named("--richardson", abel_ladder, args.abel, args.richardson)
+    # the first node leaves (0, 1) when 1 - --abel rounds to 1, a later one when
+    # --richardson is too large for --abel
+    flag = "--abel" if 1.0 - args.abel >= 1.0 else "--richardson"
+    ladder = named(flag, abel_ladder, args.abel, args.richardson)
     # --method is a choice and abel_ladder checks the radii, so only --terms can fail
     method = named(
         "--terms",
@@ -382,16 +386,12 @@ def _cmd_lemma(args: argparse.Namespace) -> int:
 
 
 def _normalize_argv(argv: list[str]) -> list[str]:
-    """Join ``--at -e`` into ``--at=-e`` so the value is not read as a flag."""
+    """Join ``--at -e`` and ``--gamma -1e-1`` by ``=``, so no value is read as a flag."""
     out: list[str] = []
-    i = 0
-    while i < len(argv):
-        if argv[i] == "--at" and i + 1 < len(argv):
-            out.append(f"--at={argv[i + 1]}")
-            i += 2
-            continue
-        out.append(argv[i])
-        i += 1
+    words = iter(argv)
+    for word in words:
+        value = next(words, None) if word in ("--at", "--gamma") else None
+        out.append(word if value is None else f"{word}={value}")
     return out
 
 

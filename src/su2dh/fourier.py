@@ -26,7 +26,9 @@ rounded angle larger than pi/4 reaches cos or sin, at any n.  Where
 n + 1 are used in its place; a subnormal t, whose reduced angles would lose
 their precision, is among these.
 `fourier_coefficient` runs the same fold in Python floats at the exact
-integer n + 1, with its one phase reduced by one divmod.
+integer n + 1, with its one phase reduced by one divmod.  Both read the
+components' fold rows, which `_fold_rows` builds once per space object and
+stores on it (see `model`).
 
 Phases.  For x = p/q, w = n + 1 is split as 1 + j + block*m with
 block = ceil(sqrt(terms)), and the phases of the about 2*sqrt(terms) values
@@ -109,11 +111,11 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import TYPE_CHECKING, Callable, Sequence
+from typing import TYPE_CHECKING, Callable
 
 from .expsum import _overflow, _parity_rows, _poly
 from .extrapolation import abel_ladder, extrapolate_to_zero
-from .model import VOL_G, VOL_T, FixedComponent, QHSpace, require_interior_alcove
+from .model import VOL_G, VOL_T, QHSpace, require_interior_alcove
 from .residue import DEFAULT_OPTIONS, DensityOverflowError, EvalOptions, NonRealDensityError
 
 if TYPE_CHECKING:
@@ -227,7 +229,20 @@ def _phases(x: Fraction, terms: int, sine_only: bool = False) -> tuple[np.ndarra
     return tuple(row.ravel()[:terms] for row in table)
 
 
-def _fold(component: FixedComponent, u, v, cos, sin, real, imag, scratch) -> tuple:
+def _fold_rows(space: QHSpace) -> tuple:
+    """Each component's two rows of (E, O) coefficients for `_fold`, stored on the space."""
+    rows = space._compiled.get("fold")
+    if rows is None:
+        rows = []
+        for comp in space.components:
+            even_re, even_im, odd_re, odd_im = _parity_rows(comp.euler_integral, 3)
+            odd = (odd_re, odd_im) if comp.central else (tuple(-a for a in odd_im), odd_re)
+            rows.append(((even_re, odd[0]), (even_im, odd[1])))
+        rows = space._compiled["fold"] = tuple(rows)
+    return rows
+
+
+def _fold(rows: tuple, central: bool, u, v, cos, sin, real, imag, scratch) -> tuple:
     """real + Re and imag + Im of the term of one component's full family in <density, chi_n>.
 
     Here u = 1/w with w = n + 1, v = u^2 and cos + i*sin = e^{pi*i*mu*w}.
@@ -238,8 +253,8 @@ def _fold(component: FixedComponent, u, v, cos, sin, real, imag, scratch) -> tup
     partner adds w*I_F(-w) e^{-pi*i*mu*w}, and w*I_F(-w) = E - O, so a
     non-central pair gives 2*E*cos + 2i*O*sin, whose parts are twice
     Re E*cos + (-Im O)*sin and Im E*cos + Re O*sin.  A central component is
-    its own partner, and its sin is 0, so it gives (E + O)*cos.  Each
-    component stores the two rows of (E, O) coefficients that its parts take.
+    its own partner, and its sin is 0, so it gives (E + O)*cos.  ``rows``
+    holds the two rows of (E, O) coefficients that its parts take.
 
     u, v, the phases and the totals are floats, with ``scratch`` (None, None),
     or arrays.  Then ``scratch`` is two rows that hold E and O, and every
@@ -248,15 +263,7 @@ def _fold(component: FixedComponent, u, v, cos, sin, real, imag, scratch) -> tup
     nonzero coefficient is skipped.  That changes at most the sign of a zero
     that the update drops, since a total, starting at 0.0, is never -0.0.
     """
-    rows = component._compiled.get("fold")
-    if rows is None:
-        even_re, even_im, odd_re, odd_im = _parity_rows(component.euler_integral, 3)
-        if component.central:
-            rows = (even_re, odd_re), (even_im, odd_im)
-        else:
-            rows = (even_re, tuple(-a for a in odd_im)), (even_im, odd_re)
-        component._compiled["fold"] = rows
-    odd_phase = cos if component.central else sin
+    odd_phase = cos if central else sin
     totals = []
     for total, (even, odd) in zip((real, imag), rows):
         value = _poly(even, v, u, out=scratch[0])
@@ -270,7 +277,7 @@ def _fold(component: FixedComponent, u, v, cos, sin, real, imag, scratch) -> tup
             else:
                 value += other
         if value is not None:
-            if not component.central:
+            if not central:
                 # the sum is formed before the doubling, which overflows only with it
                 value *= 2.0
             total += value
@@ -278,9 +285,7 @@ def _fold(component: FixedComponent, u, v, cos, sin, real, imag, scratch) -> tup
     return tuple(totals)
 
 
-def _localization_terms(
-    components: Sequence[FixedComponent], weights: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
+def _localization_terms(space: QHSpace, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Re and Im of <density, chi_n> for n + 1 = weights, the floats 1..len(weights).
 
     The real parts, which the space keeps, are allocated alone.  u, v, the
@@ -296,8 +301,9 @@ def _localization_terms(
     np.multiply(u, u, out=v)
     imag.fill(0.0)
     real = np.zeros(weights.shape)
-    for comp in components:
-        real, imag = _fold(comp, u, v, *_phases(comp.mu, len(weights)), real, imag, scratch)
+    for comp, rows in zip(space.components, _fold_rows(space)):
+        phases = _phases(comp.mu, len(weights))
+        real, imag = _fold(rows, comp.central, u, v, *phases, real, imag, scratch)
     return real, imag
 
 
@@ -313,9 +319,7 @@ def _coefficients(space: QHSpace, terms: int) -> tuple[np.ndarray, float]:
         import numpy as np
 
         with np.errstate(over="ignore", invalid="ignore"):  # an overflow is judged below
-            real, imag = _localization_terms(
-                space.components, np.arange(1, terms + 1, dtype=float)
-            )
+            real, imag = _localization_terms(space, np.arange(1, terms + 1, dtype=float))
             if imag.any():
                 # NaN and inf propagate to the largest size
                 size, peak = float(np.max(np.hypot(real, imag))), float(np.max(np.abs(imag)))
@@ -371,13 +375,13 @@ def fourier_coefficient(space: QHSpace, n: int) -> complex:
     w = n + 1
     u = 1 / w
     real = imag = 0.0
-    for comp in space.components:
+    for comp, rows in zip(space.components, _fold_rows(space)):
         p, q = comp.mu.numerator, comp.mu.denominator
         quadrant, turn = divmod(4 * p * w + q, 2 * q)
         turn, scale = _turn_scale(turn - q, q)
         c, s = math.cos(turn * scale), math.sin(turn * scale)
         phase = ((c, s), (-s, c), (-c, -s), (s, -c))[quadrant & 3]
-        real, imag = _fold(comp, u, u * u, *phase, real, imag, (None, None))
+        real, imag = _fold(rows, comp.central, u, u * u, *phase, real, imag, (None, None))
     if not (math.isfinite(real) and math.isfinite(imag)):
         raise DensityOverflowError(
             f"numeric overflow: space {space.name!r} has a non-finite Fourier coefficient "

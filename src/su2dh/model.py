@@ -23,15 +23,14 @@ mu_F is held as an exact rational.  Whether a component is *central*
 factor 1/2 in every downstream formula, so it must never depend on a floating
 tolerance.
 
-Compiled data live on the object they are computed from, in its private
-`_compiled` dict: a component keeps what is compiled from it alone, its
-chamber branches (`residue`) and Fourier fold polynomials (`fourier`), and a
-space keeps its residue tables and Fourier coefficients.
-It is an attribute set in `__post_init__`, not a dataclass field, so
-equality, `repr`, `dataclasses.asdict` and the space file ignore it.  Copies
-start without it, and no cache is keyed by content.  This is sound because
-the data cannot change: both classes are frozen, and `euler_integral` is a
-read-only dict.
+A component is a plain frozen value.  Compiled data live on the space, in
+its private `_compiled` dict: the chamber branches of its components, in one
+residue table per reach (`residue`), and their Fourier fold rows and
+coefficients (`fourier`).  The dict is an attribute set in `__post_init__`,
+not a dataclass field, so equality, `repr`, `dataclasses.asdict` and the
+space file ignore it.  Copies start without it, and no cache is keyed by
+content.  This is sound because the data cannot change: both classes are
+frozen, and `euler_integral` is a read-only dict.
 """
 
 from __future__ import annotations
@@ -101,8 +100,6 @@ class FixedComponent:
     euler_integral: Mapping[int, complex]
 
     def __post_init__(self) -> None:
-        # branches and folds that `residue` and `fourier` store on first use; not a field
-        object.__setattr__(self, "_compiled", {})
         if not isinstance(self.label, str) or not self.label:
             raise SpaceFormatError("component label must be a nonempty string")
         # Fraction(text) builds 10**|exponent|, which takes seconds for an exponent in the
@@ -152,10 +149,6 @@ class FixedComponent:
     @property
     def max_power(self) -> int:
         return max(self.euler_integral)
-
-    def __reduce__(self):
-        # rebuilt from the value, without compiled data
-        return FixedComponent, (self.label, self.mu, dict(self.euler_integral))
 
 
 @dataclass(frozen=True)
@@ -301,7 +294,7 @@ def load_space(document: Union[str, bytes, Mapping[str, Any]]) -> QHSpace:
     if isinstance(document, (str, bytes)):
         try:
             document = json.loads(document)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
             raise SpaceFormatError(f"malformed space file: not valid JSON: {exc}") from exc
     _check_object(document, ("name", "stabilizer_order", "components"), "document")
 

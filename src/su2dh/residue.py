@@ -32,9 +32,9 @@ Each R is an exact rational, from the integer ratio row of
 `expsum.bernoulli_ratios` that `exp_sum_residue` also reads, rounded once:
 one division of its integer numerator by its integer denominator, which
 Python rounds correctly, as float(Fraction) does, reduced or not.  Each
-component object keeps its two polynomials from its first use.  A wall's
-one-sided limit is then the choice of branch, and the central values at +e
-and -e, the t -> 0+ and t -> 1- limits of the two branches, are the linear
+space object compiles each of its components once.  A wall's one-sided
+limit is then the choice of branch, and the central values at +e and -e,
+the t -> 0+ and t -> 1- limits of the two branches, are the linear
 coefficients of P_below and P_above divided by pi.
 Central values are meaningful only at a regular value of the moment map,
 which the caller must assert: a component at mu = 0 (at +e) or mu = 1 (at
@@ -57,17 +57,16 @@ the branches the call can reach; every point is then evaluated in real
 arithmetic.  A coefficient, density or volume that overflows raises
 `DensityOverflowError`.
 
-Tables.  Compiled data live on the object they come from and die with it
-(see `model`).  Each `QHSpace` object stores one table per reach: "interior"
-for interior points, "below" for the values at +e and "above" for those at
--e.  A table holds its components' compiled branches, one row each, and the
-largest residual of the branches that reach allows, judged from the exact
-mu, so a warm call only compares that residual with its own
-`EvalOptions.imag_tolerance`.  The verdict is not stored, because the
-tolerance belongs to the call.  A cold call, or one whose tolerance the
-residual fails, runs one loop that builds and judges the rows in order, so
-the first component at fault raises with the message that names it and its
-branch; a table is stored once every row has passed.  A component's
+Tables.  Compiled data live on the space and die with it (see `model`).
+The first residue call on a `QHSpace` object compiles each component once,
+into one row list, and stores a table for each reach: "interior" for
+interior points, "below" for the values at +e and "above" for those at -e.
+A table is that shared row list and the largest residual of the branches its
+reach allows, judged from the exact mu, so a warm call only compares that
+residual with its own `EvalOptions.imag_tolerance`.  The verdict is not
+stored, because the tolerance belongs to the call.  A call whose tolerance
+the residual fails judges the rows in order, so the first component at fault
+raises with the message that names it and its branch.  A component's
 contribution is its row, which `density` returns in
 `DensityResult.per_component`.
 """
@@ -196,18 +195,20 @@ def _branch(
 
 
 def _compile(component: FixedComponent) -> _BranchPolynomials:
-    """Both branch polynomials of a component, compiled on first use and stored on it."""
-    poly = component._compiled.get("branches")
-    if poly is None:
-        mu, coefficients = component.mu, tuple(component.euler_integral.items())
-        half = Fraction(1, 2) if component.central else Fraction(1)
-        below, r_below = _branch(coefficients, mu, -half)
-        above, r_above = _branch(coefficients, mu + 1, half)
-        interior = "above" if mu == 0 else "below" if mu == 1 or r_below >= r_above else "above"
-        residual = {"below": r_below, "above": r_above}
-        poly = _BranchPolynomials(float(mu), below, above, residual, interior)
-        component._compiled["branches"] = poly
-    return poly
+    """Both branch polynomials of a component; a pure function of its value."""
+    mu, coefficients = component.mu, tuple(component.euler_integral.items())
+    half = Fraction(1, 2) if component.central else Fraction(1)
+    below, r_below = _branch(coefficients, mu, -half)
+    above, r_above = _branch(coefficients, mu + 1, half)
+    interior = "above" if mu == 0 else "below" if mu == 1 or r_below >= r_above else "above"
+    residual = {"below": r_below, "above": r_above}
+    return _BranchPolynomials(float(mu), below, above, residual, interior)
+
+
+def _judged(poly: _BranchPolynomials, reach: str) -> tuple[str, float]:
+    """The branch of a row that judges ``reach``, and its residual."""
+    branch = poly.interior if reach == "interior" else reach
+    return branch, poly.residual[branch]
 
 
 def _table(
@@ -215,28 +216,27 @@ def _table(
 ) -> tuple[list[tuple[str, _BranchPolynomials]], float]:
     """The space's table for ``reach`` (see the module docstring), judged on every call."""
     table = space._compiled.get(reach)
-    if table is not None and table[1] <= options.imag_tolerance:
-        return table
-    # cold, or over the tolerance: then some row raises, and the stored table is kept
-    compiled, largest = [], 0.0
-    for comp in space.components:
-        poly = _compile(comp)
-        branch = poly.interior if reach == "interior" else reach
-        residual = poly.residual[branch]
-        if residual == math.inf:
-            raise DensityOverflowError(
-                f"numeric overflow: component {comp.label!r} has coefficients beyond the "
-                f"float range on its {branch} branch"
-            )
-        if residual > options.imag_tolerance:
-            raise NonRealDensityError(
-                f"non-real density (check input data): component {comp.label!r} has "
-                f"relative imaginary residual {residual:.3e} on its {branch} branch"
-            )
-        compiled.append((comp.label, poly))
-        largest = max(largest, residual)
-    space._compiled[reach] = compiled, largest
-    return compiled, largest
+    if table is None:
+        # the first call builds every reach's table, all sharing one row list
+        rows = [(comp.label, _compile(comp)) for comp in space.components]
+        for each in ("interior", "below", "above"):
+            space._compiled[each] = rows, max(_judged(poly, each)[1] for _, poly in rows)
+        table = space._compiled[reach]
+    if table[1] > options.imag_tolerance:
+        # then some row fails; the first one raises, naming itself and its branch
+        for label, poly in table[0]:
+            branch, residual = _judged(poly, reach)
+            if residual == math.inf:
+                raise DensityOverflowError(
+                    f"numeric overflow: component {label!r} has coefficients beyond the "
+                    f"float range on its {branch} branch"
+                )
+            if residual > options.imag_tolerance:
+                raise NonRealDensityError(
+                    f"non-real density (check input data): component {label!r} has "
+                    f"relative imaginary residual {residual:.3e} on its {branch} branch"
+                )
+    return table
 
 
 def _select_branch(label: str, mu: float, t: float, options: EvalOptions) -> str:

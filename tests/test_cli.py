@@ -496,6 +496,14 @@ class TestLemma:
         assert proc.stdout == "" and "must be finite" in proc.stderr
         assert "RuntimeWarning" not in proc.stderr
 
+    def test_negative_gamma_in_any_float_spelling(self):
+        # argparse takes -1e-1, unlike -0.1, for a flag unless it is joined to --gamma
+        outputs = [
+            run_cli("lemma", "--coeff", "2:1", "--gamma", gamma).stdout
+            for gamma in ("-1e-1", "-0.1", "-.1")
+        ]
+        assert outputs[0] == outputs[1] == outputs[2] and "PASS" in outputs[0]
+
     def test_complex_coefficient_grammar(self):
         run_cli("lemma", "--coeff", "2:0.5:-0.25", "--gamma", "2.0")
 
@@ -558,6 +566,21 @@ class TestParser:
         assert f"error: --space: cannot read {str(tmp_path / space)!r}: " in proc.stderr
         assert proc.stderr.count(str(tmp_path)) == 1
 
+    @pytest.mark.parametrize(
+        "content, reason",
+        [
+            (b"[" * 200_000 + b"]" * 200_000, "maximum recursion depth exceeded"),
+            (b"\xff{}", "'utf-8' codec can't decode byte 0xff in position 0"),
+        ],
+        ids=["deep", "undecodable"],
+    )
+    def test_unparsable_space_is_usage_error(self, tmp_path, content, reason):
+        path = tmp_path / "space.json"
+        path.write_bytes(content)
+        proc = run_cli("eval", "--space", str(path), "--t", "0.3", expect=2)
+        assert proc.stdout == "" and "Traceback" not in proc.stderr
+        assert proc.stderr.startswith(f"error: malformed space file: not valid JSON: {reason}")
+
     def test_conflicting_sources(self):
         run_cli("eval", "--builtin", "s4", "--space", "x.json", "--t", "0.5", expect=2)
 
@@ -582,6 +605,14 @@ class TestParser:
     def test_library_rules_name_the_flag(self, args, flag):
         proc = run_cli(*args, expect=2)
         assert proc.stdout == "" and f"error: {flag}: " in proc.stderr
+
+    @pytest.mark.parametrize("richardson", ["0", "2"])
+    def test_abel_that_rounds_away_is_named(self, richardson):
+        # 1 - 1e-17 rounds to 1, so the first node leaves (0, 1) at every level
+        args = ("eval", "--builtin", "s4", "--t", "0.5", "--mode", "fourier")
+        proc = run_cli(*args, "--abel", "1e-17", "--richardson", richardson, expect=2)
+        ladder = "extrapolation ladder leaves (0, 1): (1 - 1e-17) * 2**0 >= 1"
+        assert proc.stdout == "" and proc.stderr == f"error: --abel: {ladder}\n"
 
     def test_lemma_ladder_refusal_names_no_levels(self):
         # lemma has no levels flag, so the message may not advise a levels change

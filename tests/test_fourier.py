@@ -262,9 +262,9 @@ class TestCoefficientCache:
         builds = []
         build = fourier._localization_terms
 
-        def counting(components, weights):
+        def counting(space, weights):
             builds.append(len(weights))
-            return build(components, weights)
+            return build(space, weights)
 
         monkeypatch.setattr(fourier, "_localization_terms", counting)
         return builds
@@ -277,6 +277,11 @@ class TestCoefficientCache:
             reconstruct_density(space, t, self.METHOD)
         assert builds == [2000, 2000]
         assert first == second
+        # each space builds its own fold rows once, and both Fourier entry points read them
+        rows = first._compiled["fold"]
+        assert rows == second._compiled["fold"] and rows is not second._compiled["fold"]
+        fourier_coefficient(first, 3)
+        assert first._compiled["fold"] is rows
 
     def test_terms_are_part_of_the_key(self, monkeypatch):
         builds = self.counted(monkeypatch)
@@ -371,6 +376,7 @@ class TestOneFold:
                 coeffs[k] = complex(re, im)
         mu = Fraction(rand.choice([0, 1])) if central else Fraction(rand.randint(1, 39), 40)
         comp = FixedComponent("c", mu, coeffs)
+        (rows,) = fourier._fold_rows(QHSpace("one", (comp,), 1))
         terms = 64
         u = 1.0 / np.arange(1, terms + 1, dtype=float)
         v = u * u
@@ -378,11 +384,11 @@ class TestOneFold:
         start = [np.array([rand.choice([0.0, rand.uniform(-9.0, 9.0)]) for _ in range(terms)])
                  for _ in "ri"]
         real, imag = (total.copy() for total in start)
-        folded = fourier._fold(comp, u, v, cos, sin, real, imag, np.empty((2, terms)))
+        folded = fourier._fold(rows, central, u, v, cos, sin, real, imag, np.empty((2, terms)))
         assert folded[0] is real and folded[1] is imag
         for i in range(terms):
             expected = fourier._fold(
-                comp, float(u[i]), float(v[i]), float(cos[i]), float(sin[i]),
+                rows, central, float(u[i]), float(v[i]), float(cos[i]), float(sin[i]),
                 float(start[0][i]), float(start[1][i]), (None, None),
             )
             assert [x.hex() for x in expected] == [float(real[i]).hex(), float(imag[i]).hex()]
@@ -415,9 +421,7 @@ class TestJudge:
     TERMS = 2000
 
     def parts(self, space: QHSpace) -> tuple:
-        return fourier._localization_terms(
-            space.components, np.arange(1, self.TERMS + 1, dtype=float)
-        )
+        return fourier._localization_terms(space, np.arange(1, self.TERMS + 1, dtype=float))
 
     def test_overflow_with_zero_imaginary_parts_is_refused(self):
         space = QHSpace("big", tuple(

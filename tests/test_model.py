@@ -20,10 +20,30 @@ from su2dh.model import (
     require_interior_alcove,
     save_space,
 )
-from su2dh.fourier import SummationMethod, reconstruct_density
-from su2dh.residue import density
+from su2dh.fourier import SummationMethod, fourier_coefficient, reconstruct_density
+from su2dh.residue import (
+    CentralElement,
+    EvalOptions,
+    WallPolicy,
+    central_density,
+    density,
+    scan,
+)
 from su2dh.spaces import make_product_space, make_s4
 from conftest import make_random_space
+
+FIELDS = {"label", "mu", "euler_integral"}
+
+
+def run_every_entry_point(space: QHSpace) -> None:
+    """Warm a space through every residue and Fourier entry point."""
+    density(space, 0.37)
+    scan(space, [0.1, 0.5, 0.9], EvalOptions(wall_policy=WallPolicy.LEFT_LIMIT))
+    for which in CentralElement:
+        central_density(space, which)
+    reconstruct_density(space, 0.37, SummationMethod(terms=100))
+    for n in range(3):
+        fourier_coefficient(space, n)
 
 
 class TestNormalization:
@@ -72,17 +92,29 @@ class TestFixedComponent:
             FixedComponent("a", Fraction(1, 2), {2: 1.0, 4: bad})
 
     def test_copies_are_rebuilt_from_the_value(self, rng):
-        # compiled data stay with the object they were computed from
+        # compiled data stay with the space they were computed from; a component
+        # is a plain value
         space = make_random_space(rng, n_components=3)
-        density(space, 0.37)
-        reconstruct_density(space, 0.37, SummationMethod(terms=100))
+        run_every_entry_point(space)
         for copied in (pickle.loads(pickle.dumps(space)), copy.deepcopy(space)):
             assert copied == space and repr(copied) == repr(space)
             assert copied._compiled == {}
-            assert all(c._compiled == {} for c in copied.components)
+            assert all(vars(c).keys() == FIELDS for c in copied.components)
             with pytest.raises(TypeError):
                 copied.components[0].euler_integral[2] = 1.0
             assert density(copied, 0.37) == density(space, 0.37)
+        for comp in space.components:
+            for copied in (
+                pickle.loads(pickle.dumps(comp)),
+                copy.deepcopy(comp),
+                copy.copy(comp),
+                dataclasses.replace(comp),
+            ):
+                assert copied == comp and repr(copied) == repr(comp)
+                assert vars(copied).keys() == FIELDS
+                assert type(copied.euler_integral) is type(comp.euler_integral)
+                with pytest.raises(TypeError):
+                    copied.euler_integral[2] = 1.0
 
     def test_asdict_reads_the_value(self):
         # asdict deep-copies a field value that is not a dict, list, tuple or dataclass,
@@ -101,11 +133,14 @@ class TestFixedComponent:
         )
 
     def test_compiled_data_are_not_fields(self):
-        # a warm and a cold equal object give the same records
+        # a warm and a cold equal object give the same records, and only the
+        # space holds compiled data
         warm, cold = make_product_space(3), make_product_space(3)
-        density(warm, 0.37)
-        reconstruct_density(warm, 0.37, SummationMethod(terms=100))
-        assert warm._compiled and warm.components[0]._compiled
+        run_every_entry_point(warm)
+        assert sorted(map(str, warm._compiled)) == [
+            "('fourier', 100)", "above", "below", "fold", "interior"
+        ]
+        assert all(vars(c).keys() == FIELDS for c in warm.components)
         assert dataclasses.asdict(warm) == dataclasses.asdict(cold)
         assert dataclasses.astuple(warm) == dataclasses.astuple(cold)
         assert [f.name for f in dataclasses.fields(warm)] == [
@@ -255,6 +290,24 @@ class TestSpaceFiles:
     def test_invalid_json_rejected(self):
         with pytest.raises(SpaceFormatError, match="not valid JSON"):
             load_space("{not json")
+
+    @pytest.mark.parametrize("kind", [str, bytes])
+    def test_deeply_nested_json_is_refused(self, kind):
+        # the decoder's recursion limit, not a RecursionError
+        text = "[" * 200_000 + "]" * 200_000
+        document = text if kind is str else text.encode("utf-8")
+        with pytest.raises(SpaceFormatError) as info:
+            load_space(document)
+        assert str(info.value).startswith("malformed space file: not valid JSON: ")
+        assert "recursion" in str(info.value)
+
+    def test_undecodable_bytes_are_refused(self):
+        with pytest.raises(SpaceFormatError) as info:
+            load_space(b"\xff{}")
+        assert str(info.value) == (
+            "malformed space file: not valid JSON: 'utf-8' codec can't decode byte 0xff "
+            "in position 0: invalid start byte"
+        )
 
     # each value rule is judged by FixedComponent or QHSpace; the loader only
     # names the component, or the document, that broke it (or the path of a

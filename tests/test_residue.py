@@ -1,5 +1,6 @@
 """Residue evaluation path: golden values, walls, central elements, properties."""
 
+import copy
 import dataclasses
 import gc
 import math
@@ -317,8 +318,8 @@ class TestChamberPolynomials:
         assert walls_checked >= 20
 
     def test_each_component_is_compiled_once(self, monkeypatch, rng):
-        # once per component object, whichever entry point comes first; both
-        # branches are compiled together
+        # once per component and space object, whichever entry point comes
+        # first; both branches are compiled together
         branches = []
         compile_branch = residue_module._branch
 
@@ -328,17 +329,27 @@ class TestChamberPolynomials:
 
         monkeypatch.setattr(residue_module, "_branch", counting)
         space = make_random_space(rng, n_components=3)
+        n = len(space.components)
         for _ in range(2):
-            for comp in space.components:
-                component_density(comp, 0.37)
-                component_central_density(comp, CentralElement.MINUS_IDENTITY)
-            scan(space, GRID, EvalOptions(wall_policy=WallPolicy.LEFT_LIMIT))
-            density(space, 0.37)
-            reduced_volume(space, 0.37)
             for which in CentralElement:
                 central_density(space, which)
                 reduced_volume(space, which)
-        assert len(branches) == 2 * len(space.components)
+            scan(space, GRID, EvalOptions(wall_policy=WallPolicy.LEFT_LIMIT))
+            density(space, 0.37)
+            reduced_volume(space, 0.37)
+        assert len(branches) == 2 * n
+        # another space object of the same component objects compiles its own
+        copied = copy.copy(space)
+        assert all(a is b for a, b in zip(copied.components, space.components))
+        for _ in range(2):
+            density(copied, 0.37)
+            central_density(copied, CentralElement.IDENTITY)
+        assert len(branches) == 4 * n
+        # so does each one-component space of the conftest helpers
+        for comp in space.components:
+            component_density(comp, 0.37)
+            component_central_density(comp, CentralElement.MINUS_IDENTITY)
+        assert len(branches) == 8 * n
 
 
 def fraction_branch(coefficients, weight: Fraction, sign: Fraction) -> tuple:
@@ -526,22 +537,30 @@ class TestInteriorTable:
     def test_table_is_built_once_per_space_object(self):
         space = make_product_space(5)
         density(space, 0.5)
-        table = space._compiled["interior"]
+        # the first call builds every reach's table, all on one row list
+        tables = dict(space._compiled)
+        assert sorted(tables) == ["above", "below", "interior"]
+        rows = tables["interior"][0]
+        assert all(tables[reach][0] is rows for reach in tables)
+        assert [label for label, _ in rows] == [c.label for c in space.components]
+        assert all(poly == _compile(c) for c, (_, poly) in zip(space.components, rows))
+        for reach in ("below", "above"):
+            assert tables[reach][1] == max(poly.residual[reach] for _, poly in rows)
+        assert tables["interior"][1] == max(
+            poly.residual[poly.interior] for _, poly in rows
+        )
         for i in range(100):
             density(space, (i + 0.5) / 100)
         scan(space, GRID)
         reduced_volume(space, 0.3)
-        assert space._compiled["interior"] is table
-        for which in CentralElement:
-            central_density(space, which)
-        tables = dict(space._compiled)
-        assert sorted(tables) == ["above", "below", "interior"]
         for which in CentralElement:
             central_density(space, which)
             reduced_volume(space, which)
+        assert space._compiled == tables
         assert all(space._compiled[reach] is tables[reach] for reach in tables)
-        # a component keeps only its own branches; every table is the space's
-        assert all(list(comp._compiled) == ["branches"] for comp in space.components)
+        # the components keep nothing; every table is the space's
+        assert all(vars(comp).keys() == {"label", "mu", "euler_integral"}
+                   for comp in space.components)
 
     def test_equal_objects_compile_their_own_data(self, rng):
         text = save_space(make_random_space(rng, n_components=3))
@@ -549,9 +568,11 @@ class TestInteriorTable:
         for space in (first, second):
             density(space, 0.37)
             central_density(space, CentralElement.IDENTITY)
-        for a, b in zip(first.components, second.components):
-            assert a == b and _compile(a) is not _compile(b)
-        assert first._compiled["interior"] is not second._compiled["interior"]
+        for reach in ("interior", "below", "above"):
+            assert first._compiled[reach] == second._compiled[reach]
+            assert first._compiled[reach][0] is not second._compiled[reach][0]
+        for (_, a), (_, b) in zip(first._compiled["interior"][0], second._compiled["interior"][0]):
+            assert a == b and a is not b
         # the compiled data are not part of the value
         fresh = load_space(text)
         assert first == second == fresh
@@ -560,12 +581,15 @@ class TestInteriorTable:
 
     def test_compiled_data_die_with_the_space(self, rng):
         space = make_random_space(rng, n_components=3)
+        components = space.components
         density(space, 0.37)
         central_density(space, CentralElement.MINUS_IDENTITY)
-        compiled = [weakref.ref(_compile(comp)) for comp in space.components]
+        compiled = [weakref.ref(poly) for _, poly in space._compiled["interior"][0]]
+        assert len(compiled) == len(components)
         assert all(poly() is not None for poly in compiled)
         del space
         gc.collect()
+        # the components live on, and hold none of the space's rows
         assert all(poly() is None for poly in compiled)
 
     def test_warm_values_equal_cold_values_bit_for_bit(self, rng):
