@@ -140,15 +140,13 @@ def _load_selected_space(args: argparse.Namespace):
     if args.builtin is not None:
         return builtin_space(args.builtin)
     try:
-        with open(args.space, "r", encoding="utf-8") as handle:
-            text = handle.read()
+        with open(args.space, "rb") as handle:
+            data = handle.read()
     except OSError as exc:
         raise SpaceFormatError(
             f"--space: cannot read {args.space!r}: {exc.strerror or exc}"
         ) from exc
-    except UnicodeDecodeError as exc:  # space files are UTF-8
-        raise SpaceFormatError(f"malformed space file: not valid JSON: {exc}") from exc
-    return load_space(text)
+    return load_space(data)
 
 
 def _parse_grid(spec: str, walls: set[Fraction]) -> list[float]:
@@ -385,13 +383,21 @@ def _cmd_lemma(args: argparse.Namespace) -> int:
     return EXIT_OK if passed else EXIT_NUMERIC
 
 
-def _normalize_argv(argv: list[str]) -> list[str]:
-    """Join ``--at -e`` and ``--gamma -1e-1`` by ``=``, so no value is read as a flag."""
+def _normalize_argv(argv: list[str], parser: argparse.ArgumentParser) -> list[str]:
+    """Join each option that takes a value to the next word by ``=``.
+
+    argparse reads ``-1e-1`` or ``-e`` as a flag unless it is joined; a next
+    word that is itself an option stays apart, so a missing value is reported.
+    """
+    (commands,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    options = {name: action.nargs != 0 for each in (parser, *commands.choices.values())
+               for name, action in each._option_string_actions.items()}
     out: list[str] = []
-    words = iter(argv)
-    for word in words:
-        value = next(words, None) if word in ("--at", "--gamma") else None
-        out.append(word if value is None else f"{word}={value}")
+    for word in argv:
+        if out and options.get(out[-1]) and word not in options and not word.startswith("--"):
+            out[-1] += "=" + word
+        else:
+            out.append(word)
     return out
 
 
@@ -399,7 +405,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     if argv is None:
         argv = sys.argv[1:]
-    args = parser.parse_args(_normalize_argv(list(argv)))
+    args = parser.parse_args(_normalize_argv(list(argv), parser))
     try:
         if args.command == "eval":
             return _cmd_eval(args)

@@ -283,7 +283,7 @@ def _check_array(value: Any, path: str) -> list:
 
 
 def load_space(document: Union[str, bytes, Mapping[str, Any]]) -> QHSpace:
-    """Parse and validate a space document (JSON text or parsed mapping).
+    """Parse and validate a space document (JSON text, UTF-8 bytes or a parsed mapping).
 
     The loader checks the JSON shape; every rule on the values belongs to
     :class:`FixedComponent` and :class:`QHSpace`.  Each error starts with
@@ -292,9 +292,9 @@ def load_space(document: Union[str, bytes, Mapping[str, Any]]) -> QHSpace:
     field.
     """
     if isinstance(document, (str, bytes)):
-        try:
-            document = json.loads(document)
-        except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
+        try:  # bytes are UTF-8, not an encoding that json.loads guesses
+            document = json.loads(document.decode() if isinstance(document, bytes) else document)
+        except (ValueError, RecursionError) as exc:  # ValueError: also an int too long to parse
             raise SpaceFormatError(f"malformed space file: not valid JSON: {exc}") from exc
     _check_object(document, ("name", "stabilizer_order", "components"), "document")
 

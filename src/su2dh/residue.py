@@ -61,14 +61,15 @@ Tables.  Compiled data live on the space and die with it (see `model`).
 The first residue call on a `QHSpace` object compiles each component once,
 into one row list, and stores a table for each reach: "interior" for
 interior points, "below" for the values at +e and "above" for those at -e.
-A table is that shared row list and the largest residual of the branches its
-reach allows, judged from the exact mu, so a warm call only compares that
-residual with its own `EvalOptions.imag_tolerance`.  The verdict is not
-stored, because the tolerance belongs to the call.  A call whose tolerance
-the residual fails judges the rows in order, so the first component at fault
-raises with the message that names it and its branch.  A component's
-contribution is its row, which `density` returns in
-`DensityResult.per_component`.
+Each row keeps, for every reach, the branch that judges it and that branch's
+residual, fixed at compile time from the exact mu.  A table is the shared
+row list and the largest residual its reach allows, so a warm call only
+compares that residual with its own `EvalOptions.imag_tolerance`.  The
+outcome is not stored, because the tolerance belongs to the call.  A call
+whose tolerance the residual fails reads the rows' stored branches in order,
+so the first component at fault raises with the message that names it and
+its branch.  A point then picks each row's side once and sums that branch;
+the row values are `DensityResult.per_component`.
 """
 
 from __future__ import annotations
@@ -133,27 +134,17 @@ class _BranchPolynomials:
 
     ``below[j]`` is the coefficient of t^(2j+1), valid for t < mu;
     ``above[j]`` is the coefficient of s^(2j+1) with s = 1 - t, valid for
-    t > mu.  Both hold real parts, and ``residual`` maps each branch to the
-    relative imaginary residual of its complex coefficients, which is at
-    most 1, or inf when one of them overflowed.  ``interior`` names the
-    branch that judges interior points, decided from the exact mu: the only
-    one they reach when mu is 0 or 1, else the one with the larger residual.
+    t > mu.  Both hold real parts.  ``judged`` maps each reach to the branch
+    that judges it and that branch's relative imaginary residual, which is at
+    most 1, or inf when a coefficient overflowed.  Interior points are judged,
+    from the exact mu, on the only branch they reach when mu is 0 or 1, else
+    on the one with the larger residual.
     """
 
     mu: float
     below: tuple[float, ...]
     above: tuple[float, ...]
-    residual: dict[str, float]
-    interior: str
-
-    def at(self, t: float, branch: str) -> float:
-        """P(x) on ``branch`` ('below' or 'above'), by Horner's rule in x^2."""
-        coeffs, x = (self.below, t) if branch == "below" else (self.above, 1.0 - t)
-        x2 = x * x
-        acc = 0.0
-        for c in reversed(coeffs):
-            acc = acc * x2 + c
-        return acc * x
+    judged: dict[str, tuple[str, float]]
 
 
 def _branch(
@@ -200,32 +191,26 @@ def _compile(component: FixedComponent) -> _BranchPolynomials:
     half = Fraction(1, 2) if component.central else Fraction(1)
     below, r_below = _branch(coefficients, mu, -half)
     above, r_above = _branch(coefficients, mu + 1, half)
+    judged = {"below": ("below", r_below), "above": ("above", r_above)}
     interior = "above" if mu == 0 else "below" if mu == 1 or r_below >= r_above else "above"
-    residual = {"below": r_below, "above": r_above}
-    return _BranchPolynomials(float(mu), below, above, residual, interior)
-
-
-def _judged(poly: _BranchPolynomials, reach: str) -> tuple[str, float]:
-    """The branch of a row that judges ``reach``, and its residual."""
-    branch = poly.interior if reach == "interior" else reach
-    return branch, poly.residual[branch]
+    judged["interior"] = judged[interior]
+    return _BranchPolynomials(float(mu), below, above, judged)
 
 
 def _table(
     space: QHSpace, reach: str, options: EvalOptions
 ) -> tuple[list[tuple[str, _BranchPolynomials]], float]:
     """The space's table for ``reach`` (see the module docstring), judged on every call."""
-    table = space._compiled.get(reach)
-    if table is None:
+    if reach not in space._compiled:
         # the first call builds every reach's table, all sharing one row list
         rows = [(comp.label, _compile(comp)) for comp in space.components]
         for each in ("interior", "below", "above"):
-            space._compiled[each] = rows, max(_judged(poly, each)[1] for _, poly in rows)
-        table = space._compiled[reach]
+            space._compiled[each] = rows, max(poly.judged[each][1] for _, poly in rows)
+    table = space._compiled[reach]
     if table[1] > options.imag_tolerance:
         # then some row fails; the first one raises, naming itself and its branch
         for label, poly in table[0]:
-            branch, residual = _judged(poly, reach)
+            branch, residual = poly.judged[reach]
             if residual == math.inf:
                 raise DensityOverflowError(
                     f"numeric overflow: component {label!r} has coefficients beyond the "
@@ -239,26 +224,33 @@ def _table(
     return table
 
 
-def _select_branch(label: str, mu: float, t: float, options: EvalOptions) -> str:
-    if 0.0 < mu < 1.0 and t == mu:
-        if options.wall_policy is WallPolicy.ERROR:
-            raise WallError(
-                f"evaluation on a wall: t = mu = {t} for component "
-                f"{label!r} (set a one-sided wall policy to take a limit)"
-            )
-        return "below" if options.wall_policy is WallPolicy.LEFT_LIMIT else "above"
-    return "below" if t < mu else "above"
-
-
 def _evaluate(
     compiled: list[tuple[str, _BranchPolynomials]], residual: float, t: float, options: EvalOptions
 ) -> DensityResult:
+    """Density at an interior t from a judged table's rows.
+
+    Each row takes its below branch at x = t when t < mu and its above
+    branch at x = 1 - t when t > mu; at t == mu the wall policy picks the
+    side.  P(x) is then summed by Horner's rule in x^2.
+    """
     t = require_interior_alcove(t)
     sin_pi_t = math.sin(math.pi * t)
-    per_component = {
-        label: poly.at(t, _select_branch(label, poly.mu, t, options)) / sin_pi_t
-        for label, poly in compiled
-    }
+    per_component = {}
+    for label, poly in compiled:
+        below = t < poly.mu
+        if t == poly.mu:
+            if options.wall_policy is WallPolicy.ERROR:
+                raise WallError(
+                    f"evaluation on a wall: t = mu = {t} for component "
+                    f"{label!r} (set a one-sided wall policy to take a limit)"
+                )
+            below = options.wall_policy is WallPolicy.LEFT_LIMIT
+        coeffs, x = (poly.below, t) if below else (poly.above, 1.0 - t)
+        x2 = x * x
+        acc = 0.0
+        for c in reversed(coeffs):
+            acc = acc * x2 + c
+        per_component[label] = acc * x / sin_pi_t
     total = _fsum(per_component.values())
     if not math.isfinite(total):
         raise _overflow(DensityOverflowError, f"density at t = {t}")

@@ -59,6 +59,20 @@ def component_central_density(
     return central_density(QHSpace("one", (component,), 1), which, options)
 
 
+def branch_value(poly, t: float, branch: str) -> float:
+    """P(x) of a compiled row on either branch at any t, by Horner's rule in x^2.
+
+    x = t on the below branch and 1 - t on the above one, as the library
+    sums the branch a point picks.
+    """
+    coeffs, x = (poly.below, t) if branch == "below" else (poly.above, 1.0 - t)
+    x2 = x * x
+    acc = 0.0
+    for c in reversed(coeffs):
+        acc = acc * x2 + c
+    return acc * x
+
+
 def make_random_space(rng: random.Random, n_components: int | None = None) -> QHSpace:
     n = n_components or rng.randint(1, 3)
     comps = tuple(make_random_component(rng, f"c{i}") for i in range(n))

@@ -1,5 +1,6 @@
 """Command-line interface: outputs, determinism, exit codes."""
 
+import argparse
 import csv
 import io
 import json
@@ -14,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 
 import su2dh
+from su2dh import cli
 from su2dh.model import FixedComponent, QHSpace, save_space
 from conftest import odd_real_components
 
@@ -529,6 +531,11 @@ class TestLemma:
         assert payload["status"] == "PASS"
 
 
+EVAL = ("--builtin", "s4", "--t", "0.3")
+CENTRAL = ("--builtin", "s4", "--at", "e")
+LEMMA = ("--coeff", "2:1", "--gamma", "1")
+
+
 class TestParser:
     def test_missing_subcommand(self):
         run_cli(expect=2)
@@ -571,8 +578,10 @@ class TestParser:
         [
             (b"[" * 200_000 + b"]" * 200_000, "maximum recursion depth exceeded"),
             (b"\xff{}", "'utf-8' codec can't decode byte 0xff in position 0"),
+            (b'{"stabilizer_order": ' + b"7" * 5001 + b"}",
+             "Exceeds the limit (4300 digits) for integer string conversion"),
         ],
-        ids=["deep", "undecodable"],
+        ids=["deep", "undecodable", "huge-integer"],
     )
     def test_unparsable_space_is_usage_error(self, tmp_path, content, reason):
         path = tmp_path / "space.json"
@@ -605,6 +614,83 @@ class TestParser:
     def test_library_rules_name_the_flag(self, args, flag):
         proc = run_cli(*args, expect=2)
         assert proc.stdout == "" and f"error: {flag}: " in proc.stderr
+
+    # every option that takes a value, with the rest of a valid command and the
+    # last line that -1e-1 there prints (None: the command succeeds)
+    NEGATIVE_VALUES = {
+        ("eval", "--builtin"): (("--t", "0.3"), "error: unknown builtin space '-1e-1'"),
+        ("eval", "--space"): (("--t", "0.3"), "error: --space: cannot read '-1e-1': "
+                              "No such file or directory"),
+        ("eval", "--t"): (("--builtin", "s4"),
+                          "error: t out of open alcove: t = -0.1 is not in (0, 1)"),
+        ("eval", "--grid"): (("--builtin", "s4"),
+                             "error: grid must be START:END:STEP, got '-1e-1'"),
+        ("eval", "--mode"): (EVAL, "su2dh eval: error: argument --mode: invalid choice: "
+                             "'-1e-1' (choose from 'residue', 'fourier', 'both')"),
+        ("eval", "--method"): (EVAL, "su2dh eval: error: argument --method: invalid choice: "
+                               "'-1e-1' (choose from 'partial', 'abel', 'cesaro')"),
+        ("eval", "--terms"): (EVAL, "su2dh eval: error: argument --terms: invalid int value: "
+                              "'-1e-1'"),
+        ("eval", "--abel"): (EVAL + ("--mode", "fourier"), "error: --abel must lie in (0, 1)"),
+        ("eval", "--richardson"): (EVAL, "su2dh eval: error: argument --richardson: invalid "
+                                   "int value: '-1e-1'"),
+        ("eval", "--imag-tol"): (EVAL, "error: --imag-tol: imag_tolerance must be finite and "
+                                 "positive"),
+        ("eval", "--wall-policy"): (EVAL, "su2dh eval: error: argument --wall-policy: invalid "
+                                    "choice: '-1e-1' (choose from 'error', 'left', 'right')"),
+        ("eval", "--out"): (EVAL, None),
+        ("eval", "--format"): (EVAL, "su2dh eval: error: argument --format: invalid choice: "
+                               "'-1e-1' (choose from 'csv', 'json')"),
+        ("central", "--builtin"): (("--at", "e"), "error: unknown builtin space '-1e-1'"),
+        ("central", "--space"): (("--at", "e"), "error: --space: cannot read '-1e-1': "
+                                 "No such file or directory"),
+        ("central", "--at"): (("--builtin", "s4"), "su2dh central: error: argument --at: "
+                              "invalid choice: '-1e-1' (choose from 'e', '-e')"),
+        ("central", "--imag-tol"): (CENTRAL, "error: --imag-tol: imag_tolerance must be "
+                                    "finite and positive"),
+        ("central", "--out"): (CENTRAL, None),
+        ("central", "--format"): (CENTRAL, "su2dh central: error: argument --format: invalid "
+                                  "choice: '-1e-1' (choose from 'csv', 'json')"),
+        ("lemma", "--coeff"): (("--gamma", "1"),
+                               "error: --coeff must be K:RE or K:RE:IM, got '-1e-1'"),
+        ("lemma", "--gamma"): (("--coeff", "2:1"), None),
+        ("lemma", "--M"): (LEMMA, "su2dh lemma: error: argument --M: invalid int value: "
+                           "'-1e-1'"),
+        ("lemma", "--r"): (LEMMA, "error: --r must lie in (0, 1)"),
+        ("lemma", "--tol"): (LEMMA, "error: --tol must be finite and positive"),
+        ("lemma", "--out"): (LEMMA, None),
+        ("lemma", "--format"): (LEMMA, "su2dh lemma: error: argument --format: invalid "
+                                "choice: '-1e-1' (choose from 'csv', 'json')"),
+    }
+
+    def test_every_option_with_a_value_is_walked(self):
+        parser = cli._build_parser()
+        (commands,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+        valued = {
+            (name, option)
+            for name, command in commands.choices.items()
+            for action in command._actions
+            if action.nargs != 0
+            for option in action.option_strings
+        }
+        assert valued == set(self.NEGATIVE_VALUES)
+
+    @pytest.mark.parametrize("command, option", sorted(NEGATIVE_VALUES))
+    def test_negative_values_reach_the_option(self, tmp_path, monkeypatch, capsys,
+                                              command, option):
+        # argparse reads -1e-1 as a flag, and would print "expected one argument"
+        monkeypatch.chdir(tmp_path)
+        rest, message = self.NEGATIVE_VALUES[command, option]
+        try:
+            code = cli.main([command, *rest, option, "-1e-1"])
+        except SystemExit as exit:
+            code = exit.code
+        stderr = capsys.readouterr().err
+        if message is None:
+            assert code == 0 and "error" not in stderr
+            assert option != "--out" or (tmp_path / "-1e-1").is_file()
+        else:
+            assert code == 2 and stderr.splitlines()[-1] == message
 
     @pytest.mark.parametrize("richardson", ["0", "2"])
     def test_abel_that_rounds_away_is_named(self, richardson):

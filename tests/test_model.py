@@ -309,6 +309,33 @@ class TestSpaceFiles:
             "in position 0: invalid start byte"
         )
 
+    @pytest.mark.parametrize(
+        "encoding, reason",
+        [
+            ("utf-16", "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"),
+            ("utf-32", "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"),
+            ("utf-8-sig", "Unexpected UTF-8 BOM (decode using utf-8-sig): line 1 column 1 (char 0)"),
+        ],
+    )
+    def test_bytes_are_read_as_utf8_only(self, encoding, reason):
+        # json.loads would guess each of these encodings; a space file is UTF-8
+        text = save_space(make_s4())
+        assert load_space(text.encode("utf-8")) == make_s4()
+        with pytest.raises(SpaceFormatError) as info:
+            load_space(text.encode(encoding))
+        assert str(info.value) == f"malformed space file: not valid JSON: {reason}"
+
+    @pytest.mark.parametrize("kind", [str, bytes])
+    def test_integer_beyond_the_digit_limit_is_refused(self, kind):
+        # json.loads raises a plain ValueError, not a JSONDecodeError, here
+        text = save_space(make_s4()).replace('"stabilizer_order": 1', '"stabilizer_order": ' + "7" * 5001)
+        with pytest.raises(SpaceFormatError) as info:
+            load_space(text if kind is str else text.encode("utf-8"))
+        assert str(info.value).startswith(
+            "malformed space file: not valid JSON: Exceeds the limit (4300 digits) for integer "
+            "string conversion"
+        )
+
     # each value rule is judged by FixedComponent or QHSpace; the loader only
     # names the component, or the document, that broke it (or the path of a
     # shape error)

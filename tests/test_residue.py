@@ -44,6 +44,7 @@ from su2dh.series import bose_kernel, exp_linear, from_coefficients, mul, residu
 from su2dh.spaces import make_product_space, make_s4
 from conftest import (
     bernoulli_fractions,
+    branch_value,
     component_central_density,
     component_density,
     interior_t_avoiding_walls,
@@ -235,7 +236,7 @@ class TestCentral:
         offsets = [1e-2, 1e-3, 1e-4]
 
         def branch_density(comp, t, branch):
-            return _compile(comp).at(t, branch) / math.sin(math.pi * t)
+            return branch_value(_compile(comp), t, branch) / math.sin(math.pi * t)
 
         for _ in range(8):
             space = make_random_space(rng, n_components=1)
@@ -283,7 +284,7 @@ class TestChamberPolynomials:
             for t in (0.03, 0.3, 0.5, 0.77, 0.97):
                 for branch in ("below", "above"):
                     expected = series_branch_value(comp, t, branch)
-                    value = poly.at(t, branch) / math.sin(math.pi * t)
+                    value = branch_value(poly, t, branch) / math.sin(math.pi * t)
                     assert abs(value - expected) <= 1e-12 * (1.0 + abs(expected))
 
     @pytest.mark.parametrize("n", range(1, 31))
@@ -544,11 +545,13 @@ class TestInteriorTable:
         assert all(tables[reach][0] is rows for reach in tables)
         assert [label for label, _ in rows] == [c.label for c in space.components]
         assert all(poly == _compile(c) for c, (_, poly) in zip(space.components, rows))
-        for reach in ("below", "above"):
-            assert tables[reach][1] == max(poly.residual[reach] for _, poly in rows)
-        assert tables["interior"][1] == max(
-            poly.residual[poly.interior] for _, poly in rows
-        )
+        for reach in ("interior", "below", "above"):
+            assert tables[reach][1] == max(poly.judged[reach][1] for _, poly in rows)
+        # each reach's verdict is stored on the row; below and above judge themselves
+        for _, poly in rows:
+            assert poly.judged["interior"] in (poly.judged["below"], poly.judged["above"])
+            for side in ("below", "above"):
+                assert poly.judged[side][0] == side
         for i in range(100):
             density(space, (i + 0.5) / 100)
         scan(space, GRID)
@@ -643,8 +646,9 @@ class TestInteriorTable:
         comp = FixedComponent("c", Fraction(3, 10), {2: 1.0, 3: 1e-6})
         space = QHSpace("mixed", (FixedComponent("a", Fraction(1, 2), {2: 1.0}), comp), 1)
         poly = _compile(comp)
-        branch = max(("below", "above"), key=poly.residual.__getitem__)
-        residual = poly.residual[branch]
+        branch, residual = max((poly.judged[side] for side in ("below", "above")),
+                               key=lambda judged: judged[1])
+        assert poly.judged["interior"] == (branch, residual)
         assert 1e-9 < residual < 1e-3
         loose = EvalOptions(imag_tolerance=10 * residual)
         tight = EvalOptions(imag_tolerance=residual / 10)
@@ -670,7 +674,7 @@ class TestInteriorTable:
                     central_density(space, which, tight)
                 assert str(info.value) == (
                     f"non-real density (check input data): component 'c' has relative "
-                    f"imaginary residual {poly.residual[side]:.3e} on its {side} branch"
+                    f"imaginary residual {poly.judged[side][1]:.3e} on its {side} branch"
                 )
 
     def test_first_component_at_fault_is_named(self):
@@ -751,7 +755,10 @@ class TestRealnessProperties:
     @settings(max_examples=300, deadline=None)
     @given(symmetric_components())
     def test_symmetric_data_compile_to_exactly_real_branches(self, comp):
-        assert _compile(comp).residual == {"below": 0.0, "above": 0.0}
+        judged = _compile(comp).judged
+        assert {reach: residual for reach, (_, residual) in judged.items()} == {
+            "interior": 0.0, "below": 0.0, "above": 0.0
+        }
 
     @settings(max_examples=200, deadline=None)
     @given(odd_real_components())
