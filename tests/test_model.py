@@ -314,8 +314,10 @@ class TestSpaceFiles:
         [
             ("utf-16", "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"),
             ("utf-32", "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"),
-            ("utf-8-sig", "Unexpected UTF-8 BOM (decode using utf-8-sig): line 1 column 1 (char 0)"),
+            ("utf-8-sig", "Unexpected UTF-8 BOM (decode using utf-8-sig): line 1 column 1 "
+                          "(char 0)"),
         ],
+        ids=["utf-16", "utf-32", "utf-8-sig"],
     )
     def test_bytes_are_read_as_utf8_only(self, encoding, reason):
         # json.loads would guess each of these encodings; a space file is UTF-8
@@ -328,7 +330,8 @@ class TestSpaceFiles:
     @pytest.mark.parametrize("kind", [str, bytes])
     def test_integer_beyond_the_digit_limit_is_refused(self, kind):
         # json.loads raises a plain ValueError, not a JSONDecodeError, here
-        text = save_space(make_s4()).replace('"stabilizer_order": 1', '"stabilizer_order": ' + "7" * 5001)
+        text = save_space(make_s4())
+        text = text.replace('"stabilizer_order": 1', '"stabilizer_order": ' + "7" * 5001)
         with pytest.raises(SpaceFormatError) as info:
             load_space(text if kind is str else text.encode("utf-8"))
         assert str(info.value).startswith(
